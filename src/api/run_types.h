@@ -105,16 +105,15 @@ struct RunRequest {
   std::string backend_name;
   /// Initial computational-basis state |initial⟩ (default |0...0⟩).
   Bitstring initial_state = 0;
-  /// Worker threads (SimulatorOptions::num_threads: 1 serial, 0 auto).
+  /// Worker threads (SimulatorOptions::num_threads: 0 = auto). Never
+  /// changes the sampled records.
   int num_threads = 1;
-  /// Deterministic RNG shards for engine runs (fixes sampled values
-  /// independently of the thread count).
+  /// Deterministic RNG shards of a trajectory run (fixes its sampled
+  /// values; see SimulatorOptions::num_rng_streams).
   std::uint64_t num_rng_streams = 16;
   /// SimulatorOptions passthroughs (see core/simulator.h).
   bool skip_diagonal_updates = false;
   bool disable_sample_parallelization = false;
-  bool reuse_thread_pool = true;
-  bool two_level_batch_sharding = true;
   /// Run optimize_for_bgls on the circuit before backend selection and
   /// sampling (fusion may change which backend is eligible: fused
   /// matrix gates are not Clifford).
@@ -208,14 +207,6 @@ struct RunRequest {
   }
   RunRequest& with_sample_parallelization(bool enabled) {
     disable_sample_parallelization = !enabled;
-    return *this;
-  }
-  RunRequest& with_thread_pool_reuse(bool reuse) {
-    reuse_thread_pool = reuse;
-    return *this;
-  }
-  RunRequest& with_two_level_batch_sharding(bool two_level) {
-    two_level_batch_sharding = two_level;
     return *this;
   }
   RunRequest& with_optimization(bool optimize = true) {

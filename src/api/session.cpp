@@ -162,13 +162,11 @@ std::future<RunResult> Session::run_async(RunRequest request) {
   // pool queue times out without sampling (the service contract).
   arm_cancellation(request);
   const int resolved = ThreadPool::resolve_num_threads(request.num_threads);
-  // The job always runs on the immortal shared pool, and — like
-  // Simulator::run_async — the inner run is forced onto pool reuse: a
-  // private pool spawned per in-flight job is exactly the latency
-  // async exists to avoid. Pool choice is scheduling-only, so the
-  // records still match the synchronous run bit for bit.
+  // The job runs on the immortal shared pool (a job may hold the last
+  // reference to it, and a pool must never be destroyed by one of its
+  // own workers). A multi-threaded inner run fans its shards out on
+  // this same pool; nested parallel_for is safe (see thread_pool.h).
   std::shared_ptr<EngineContext> context = ensure_context(resolved);
-  request.reuse_thread_pool = true;
   auto task = std::make_shared<std::packaged_task<RunResult()>>(
       [backend = resolution.backend, reason = std::move(resolution.reason),
        request = std::move(request), optimize_seconds]() {

@@ -13,13 +13,12 @@
 ///    measure, ...) — circuit construction (circuit/*.h);
 ///  - bgls::Simulator<State> — the gate-by-gate sampler (core/simulator.h);
 ///  - bgls::BatchEngine<State> / bgls::EngineContext / bgls::ThreadPool
-///    — the parallel batch-sampling engine: shards trajectories and
-///    dictionary-batched repetition counts across deterministic RNG
-///    streams on a long-lived shared pool, two-level run_batch() for
-///    many-circuit sweeps, and submit()/run_async() futures for
-///    overlapping circuit construction with sampling (engine/engine.h;
-///    also reachable via SimulatorOptions::num_threads and
-///    Simulator::run_async);
+///    — the batch-sampling engine behind every Simulator::run: one
+///    dictionary for batched circuits, trajectory shards across
+///    deterministic RNG streams on a long-lived shared pool, and
+///    run_batch() for many-circuit sweeps (engine/engine.h; threads set
+///    via SimulatorOptions::num_threads). The one asynchronous entry
+///    point is Session::run_async;
 ///  - state backends: bgls::StateVectorState, bgls::DensityMatrixState,
 ///    bgls::CHState (+ act_on_near_clifford), bgls::MPSState;
 ///  - bgls::optimize_for_bgls — circuit fusion for the sampler;

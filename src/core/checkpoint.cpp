@@ -44,19 +44,15 @@ void add_checkpoint_stats(CheckpointStats& into, const CheckpointStats& delta) {
 
 std::string_view checkpoint_mode_name(CheckpointMode mode) {
   switch (mode) {
-    case CheckpointMode::kSerial: return "serial";
-    case CheckpointMode::kSerialBatched: return "serial_batched";
     case CheckpointMode::kEngine: return "engine";
-    case CheckpointMode::kEngineBatched: return "engine_batched";
+    case CheckpointMode::kDictionary: return "dictionary";
   }
   return "?";
 }
 
 CheckpointMode parse_checkpoint_mode(std::string_view name) {
-  if (name == "serial") return CheckpointMode::kSerial;
-  if (name == "serial_batched") return CheckpointMode::kSerialBatched;
   if (name == "engine") return CheckpointMode::kEngine;
-  if (name == "engine_batched") return CheckpointMode::kEngineBatched;
+  if (name == "dictionary") return CheckpointMode::kDictionary;
   detail::throw_error<ParseError>("unknown checkpoint mode '", name, "'");
 }
 
@@ -181,9 +177,9 @@ void validate_resume(const RunCheckpoint& checkpoint, CheckpointMode mode,
   BGLS_REQUIRE(checkpoint.mode == mode,
                "checkpoint was produced by the '",
                checkpoint_mode_name(checkpoint.mode),
-               "' sampling path but this run takes '",
+               "' decomposition but this run takes '",
                checkpoint_mode_name(mode),
-               "'; resume with the same thread/batching configuration");
+               "'; resume with the same circuit and batching configuration");
   BGLS_REQUIRE(checkpoint.total_repetitions == total_repetitions,
                "checkpoint covers ", checkpoint.total_repetitions,
                " repetitions but the run asks for ", total_repetitions);

@@ -11,20 +11,21 @@
 /// produces a final histogram — and the byte-stable report counters —
 /// bit-identical to the uninterrupted run, on any thread count.
 ///
-/// Production: Simulator::run (serial paths) and BatchEngine (sharded
-/// paths) emit checkpoints through CheckpointOptions::sink every
-/// `every` completed repetitions within a shard, plus at shard
-/// completion. Consumption: SimulatorOptions::resume /
-/// RunRequest::with_resume re-enter the same run mid-stream. The
+/// Production: BatchEngine (engine/engine.h) emits checkpoints through
+/// CheckpointOptions::sink every `every` completed repetitions within a
+/// shard, plus at shard completion. Consumption: SimulatorOptions::resume
+/// / RunRequest::with_resume re-enter the same run mid-stream. The
 /// service scheduler uses checkpoints for preemption and retry, and the
 /// daemon journals them (service/journal.h) so a killed process resumes
 /// its jobs on restart.
 ///
-/// Checkpoints are mode-tagged: the serial (num_threads == 1) and
-/// engine paths draw from different streams, and the trajectory and
-/// dictionary-batched paths chunk differently, so a checkpoint only
-/// resumes the path that produced it. Thread count is *not* part of the
-/// mode — engine checkpoints resume on any thread count.
+/// Checkpoints are mode-tagged: the trajectory and dictionary-batched
+/// decompositions draw from different streams and chunk differently, so
+/// a checkpoint only resumes the decomposition that produced it. Thread
+/// count is *not* part of the mode — checkpoints resume on any thread
+/// count. A mode name this build does not know (such as one written
+/// by an older decomposition) fails to parse, and the service journal
+/// then re-runs the job from scratch.
 
 #pragma once
 
@@ -69,15 +70,11 @@ void add_checkpoint_stats(CheckpointStats& into, const CheckpointStats& delta);
 
 /// Which sampling path produced a checkpoint (see file comment).
 enum class CheckpointMode {
-  /// Serial per-trajectory loop (num_threads == 1).
-  kSerial,
-  /// Serial dictionary-batched path (Sec. 3.2.3; shard-atomic).
-  kSerialBatched,
-  /// Engine trajectory sharding (per-shard streams, chunked).
+  /// Trajectory sharding (per-shard streams, chunked); "engine".
   kEngine,
-  /// Engine dictionary-batched sharding (multinomial split;
-  /// shard-atomic).
-  kEngineBatched,
+  /// The one dictionary of Sec. 3.2.3, drawn from the caller's stream
+  /// (a single shard, atomic); "dictionary".
+  kDictionary,
 };
 
 [[nodiscard]] std::string_view checkpoint_mode_name(CheckpointMode mode);
@@ -101,10 +98,11 @@ struct ShardCheckpoint {
 /// A resumable snapshot of a whole run.
 struct RunCheckpoint {
   int version = 1;
-  CheckpointMode mode = CheckpointMode::kSerial;
+  CheckpointMode mode = CheckpointMode::kEngine;
   /// Total repetitions of the run (must match the resuming request).
   std::uint64_t total_repetitions = 0;
-  /// Per-shard progress in shard order (one entry on serial paths).
+  /// Per-shard progress in shard order (one entry on the dictionary
+  /// path).
   std::vector<ShardCheckpoint> shards;
   /// Run-level counters for the completed prefix (summed over shards).
   CheckpointStats stats;
@@ -124,7 +122,7 @@ struct RunCheckpoint {
 /// Throws ValueError unless `checkpoint` matches the resuming run's
 /// shape: same mode, same total repetitions, same shard count, and
 /// per-shard completed <= total. A mismatch means the checkpoint was
-/// produced by a different sampling path or request.
+/// produced by a different decomposition or request.
 void validate_resume(const RunCheckpoint& checkpoint, CheckpointMode mode,
                      std::uint64_t total_repetitions, std::size_t shards);
 

@@ -16,11 +16,9 @@ void merge_histograms(std::map<std::string, Counts>& into,
 }
 
 ProgressCollector::ProgressCollector(ProgressOptions options,
-                                     std::vector<std::uint64_t> shard_reps,
-                                     bool chunked)
+                                     std::vector<std::uint64_t> shard_reps)
     : options_(std::move(options)),
       shard_reps_(std::move(shard_reps)),
-      chunked_(chunked),
       slots_(shard_reps_.size()) {
   BGLS_REQUIRE(options_.enabled(),
                "ProgressCollector needs enabled ProgressOptions");
@@ -50,7 +48,7 @@ void ProgressCollector::flush_locked() {
   while (cursor_shard_ < slots_.size()) {
     const std::uint64_t reps = shard_reps_[cursor_shard_];
     const std::uint64_t expected =
-        chunked_ ? next_checkpoint(cursor_done_, reps, options_.every) : reps;
+        next_checkpoint(cursor_done_, reps, options_.every);
     auto& pending = slots_[cursor_shard_].pending;
     const auto it = pending.find(expected);
     if (it == pending.end()) return;  // canonical predecessor still running

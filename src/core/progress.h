@@ -4,8 +4,8 @@
 /// A run configured with ProgressOptions emits ProgressUpdate values as
 /// repetitions complete: cumulative per-measurement-key histograms over
 /// a *canonical prefix* of the run's repetitions. The canonical order
-/// is shard-major (all repetitions of RNG stream 0, then stream 1, ...;
-/// the serial path is a single shard), and within a shard updates fire
+/// is shard-major (all repetitions of RNG stream 0, then stream 1, ...),
+/// and within a shard updates fire
 /// every `every` repetitions plus at shard completion. Because both the
 /// shard decomposition and every shard's per-repetition outcomes are
 /// fixed by the seed and SimulatorOptions::num_rng_streams alone, the
@@ -14,10 +14,10 @@
 /// update is delivered, never what it says. The final update carries
 /// the complete histogram of the run.
 ///
-/// On the dictionary-batched path (Sec. 3.2.3) all of a shard's
-/// repetitions complete together at the final gate, so streaming
-/// degenerates to one update per shard prefix emitted at the end of the
-/// run; per-trajectory workloads (channels, mid-circuit measurement, or
+/// On the dictionary-batched path (Sec. 3.2.3) all repetitions complete
+/// together at the final gate of its one shard, so streaming
+/// degenerates to the one final update; per-trajectory workloads
+/// (channels, mid-circuit measurement, or
 /// RunRequest::with_sample_parallelization(false)) stream throughout.
 ///
 /// ProgressCollector is the engine-side merger: shards report their
@@ -73,18 +73,15 @@ struct ProgressOptions {
 /// in canonical order.
 class ProgressCollector {
  public:
-  /// `shard_reps[i]` is shard i's repetition count. `chunked` selects
-  /// the checkpoint schedule: true = every `options.every` repetitions
-  /// within a shard plus shard completion (per-trajectory paths);
-  /// false = shard completion only (dictionary-batched paths, where all
-  /// of a shard's repetitions finish together).
+  /// `shard_reps[i]` is shard i's repetition count. Checkpoints fall
+  /// every `options.every` repetitions within a shard plus at shard
+  /// completion.
   ProgressCollector(ProgressOptions options,
-                    std::vector<std::uint64_t> shard_reps, bool chunked);
+                    std::vector<std::uint64_t> shard_reps);
 
   /// The canonical checkpoint after `done` of `total` shard repetitions
   /// under cadence `every`: the next multiple of `every`, capped at
-  /// `total`. Shared by the collector and the engine's chunk loop so
-  /// both walk the identical schedule.
+  /// `total` — the schedule the engine's shard loop reports on.
   [[nodiscard]] static std::uint64_t next_checkpoint(std::uint64_t done,
                                                      std::uint64_t total,
                                                      std::uint64_t every);
@@ -108,7 +105,6 @@ class ProgressCollector {
 
   ProgressOptions options_;
   std::vector<std::uint64_t> shard_reps_;
-  bool chunked_;
   std::uint64_t total_ = 0;
 
   std::mutex mutex_;

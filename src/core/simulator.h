@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <utility>
@@ -58,6 +57,7 @@
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/timing.h"
 
 namespace bgls {
 
@@ -69,11 +69,10 @@ class BatchEngine;  // engine/engine.h — included at the end of this file
 using BatchDictionary = std::map<Bitstring, std::uint64_t>;
 
 /// Per-RNG-stream shard counters, filled by the BatchEngine (engine.h)
-/// when a run is sharded across streams.
+/// in shard order.
 struct StreamStats {
-  /// Independent state evolutions executed in this shard (0 on the
-  /// engine's snapshot-sharing batched path, where one shared evolution
-  /// serves every shard).
+  /// Independent state evolutions executed in this shard (1 on the
+  /// dictionary-batched path, whose single shard evolves one state).
   std::size_t trajectories = 0;
   /// apply_op invocations executed in this shard.
   std::size_t state_applications = 0;
@@ -97,10 +96,10 @@ struct RunStats {
   bool used_sample_parallelization = false;
   /// Candidate updates skipped because the gate was diagonal.
   std::size_t diagonal_updates_skipped = 0;
-  /// Worker threads the run was executed with (1 for the serial path).
+  /// Worker threads the run was executed with.
   std::size_t threads_used = 1;
-  /// Per-stream shard counters in shard order (empty on the serial
-  /// path; one entry per RNG stream on engine runs).
+  /// Per-stream shard counters in shard order: one entry on the
+  /// dictionary-batched path, one per RNG stream on trajectory runs.
   std::vector<StreamStats> per_stream;
   /// Why the runtime layer routed this run to its backend — filled by
   /// Session for kAuto requests, including every job of a run_batch, so
@@ -114,8 +113,9 @@ struct RunStats {
   /// op. queue_wait_ms is filled by the service scheduler (time from
   /// admission to run start; 0 for direct Session calls); optimize_ms
   /// and sample_ms by Session::run (circuit fusion / backend dispatch);
-  /// evolve_ms by the engine's shared-snapshot batched path (gate
-  /// applies on the shared state, a subset of sample_ms).
+  /// evolve_ms by traced dictionary-batched runs (gate applies on the
+  /// one evolved state, a subset of sample_ms; 0 when no trace is
+  /// attached).
   double queue_wait_ms = 0.0;
   double optimize_ms = 0.0;
   double evolve_ms = 0.0;
@@ -130,42 +130,31 @@ struct SimulatorOptions {
   /// Force-disable the dictionary batching of Sec. 3.2.3 even when the
   /// circuit allows it (used by the Fig. 2 ablation).
   bool disable_sample_parallelization = false;
-  /// Worker threads for multi-repetition runs: 1 (default) keeps the
-  /// classic serial path, 0 auto-detects hardware concurrency, N > 1
-  /// routes run()/sample() through the BatchEngine (engine/engine.h).
-  /// Engine results are bit-identical for every thread count >= 1 given
-  /// the same seed and num_rng_streams; only the serial num_threads == 1
-  /// path draws from a different (single) stream.
+  /// Worker threads for run()/sample(): 1 (default) executes every
+  /// shard inline on the caller, 0 auto-detects hardware concurrency,
+  /// N > 1 fans shards out over a pool of N. Never changes
+  /// the sampled values: results are bit-identical for every thread
+  /// count, including 1, given the same seed and num_rng_streams.
   int num_threads = 1;
-  /// Number of deterministic RNG shards an engine run is split into.
-  /// This — not the thread count — fixes the sampled values, so keep it
-  /// constant when comparing runs across machines or thread counts.
+  /// Number of deterministic RNG shards a trajectory circuit (channels,
+  /// mid-circuit measurement, feed-forward, or batching disabled) is
+  /// split into. This — not the thread count — fixes a trajectory
+  /// run's sampled values, so keep it constant when comparing runs.
+  /// Dictionary-batched circuits draw one dictionary from the caller's
+  /// stream and ignore it.
   std::uint64_t num_rng_streams = 16;
-  /// Reuse one long-lived thread pool across engine runs: the pool is
-  /// cached process-wide per thread count behind a shared EngineContext
-  /// (engine/context.h), and copying a Simulator shares its context.
-  /// false restores the v1 behavior — a fresh pool per delegated run —
-  /// which the fig2 pool-reuse bench measures against. Never affects
-  /// the sampled values, only where the threads come from.
-  bool reuse_thread_pool = true;
-  /// run_batch scheduling granularity: true (default) schedules one
-  /// pool job per (circuit, repetition-shard) pair so a few large
-  /// trajectory circuits still saturate the pool; false schedules one
-  /// job per circuit and runs its shards serially inside it. The shard
-  /// decomposition is identical in both modes, so results are
-  /// bit-identical either way.
-  bool two_level_batch_sharding = true;
   /// Cooperative stop handle, polled at bounded intervals (per gate on
   /// the trajectory and dictionary-batched loops; additionally per
-  /// shard/chunk in the engine). Inert by default. Scheduling-only: an
+  /// shard in the engine). Inert by default. Scheduling-only: an
   /// aborted run throws CancelledError/DeadlineExceededError and
   /// discards its partial work; it never alters what an uncancelled run
   /// samples, nor any shared state later runs depend on.
   CancellationToken cancel_token{};
   /// Streaming partial histograms (core/progress.h): run() emits
   /// cumulative per-key histograms every `progress.every` completed
-  /// repetitions in canonical shard order. sample()/run_batch ignore
-  /// it. Observation-only: never changes the sampled records.
+  /// repetitions in canonical shard order (dictionary-batched runs emit
+  /// only the final update). sample()/run_batch ignore it.
+  /// Observation-only: never changes the sampled records.
   ProgressOptions progress{};
   /// Optional telemetry trace (obs/trace.h) the engine records shard
   /// and phase spans into; non-owning, may be null. Observation-only:
@@ -181,10 +170,10 @@ struct SimulatorOptions {
   /// Resume a previous run from its checkpoint: run() validates the
   /// checkpoint against this request's shape (mode, totals, shard
   /// count) and continues it, producing a final histogram and report
-  /// counters bit-identical to the uninterrupted run. The request must
-  /// carry the same circuit/seed/num_rng_streams as the checkpointed
-  /// one. Intermediate progress updates are suppressed on a resumed
-  /// run; the final update still fires.
+  /// counters bit-identical to the uninterrupted run, on any thread
+  /// count. The request must carry the same circuit/seed/num_rng_streams
+  /// as the checkpointed one. Intermediate progress updates are
+  /// suppressed on a resumed run; the final update still fires.
   std::shared_ptr<const RunCheckpoint> resume{};
 };
 
@@ -199,6 +188,11 @@ struct SimulatorOptions {
 ///      `project(std::span<const Qubit>, Bitstring)` (mid-circuit
 ///      measurement), `apply_matrix(const Matrix&, std::span<const
 ///      Qubit>)` + `renormalize()` (exact channel branching).
+///
+/// The simulator owns the per-shard primitives — the one-dictionary
+/// loop of Sec. 3.2.3 and the per-trajectory loop. run()/sample()
+/// always go through a BatchEngine (engine/engine.h), which decides how
+/// a run is decomposed into those primitives and where they execute.
 template <typename State>
 class Simulator {
  public:
@@ -208,7 +202,7 @@ class Simulator {
   /// Builds a simulator whose apply/probability hooks are the backend's
   /// ADL free functions.
   explicit Simulator(State initial_state, SimulatorOptions options = {})
-      : initial_state_(std::move(initial_state)),
+      : initial_state_(std::make_shared<const State>(std::move(initial_state))),
         options_(options),
         apply_op_([](const Operation& op, State& s, Rng& rng) {
           apply_op(op, s, rng);
@@ -224,7 +218,7 @@ class Simulator {
   /// by a standard candidate update.
   Simulator(State initial_state, ApplyOpFn apply, ProbabilityFn probability,
             SimulatorOptions options = {})
-      : initial_state_(std::move(initial_state)),
+      : initial_state_(std::make_shared<const State>(std::move(initial_state))),
         options_(options),
         apply_op_(std::move(apply)),
         compute_probability_(std::move(probability)),
@@ -234,119 +228,9 @@ class Simulator {
   /// measurement records, mirroring cirq.Simulator.run. The circuit must
   /// contain at least one measurement and must be fully resolved.
   Result run(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    if (options_.num_threads != 1 && repetitions > 1) {
-      return run_with_engine(
-          [&](BatchEngine<State>& engine) {
-            return engine.run(circuit, repetitions, rng);
-          });
-    }
-    validate(circuit, /*require_measurements=*/true);
-    options_.cancel_token.throw_if_stopped();
-    const RunCheckpoint* resume = options_.resume.get();
-    // A resumed run suppresses intermediate progress updates (the
-    // pre-interruption prefix already streamed them) and emits only the
-    // final one.
-    const bool streaming = options_.progress.enabled() && resume == nullptr;
-    const bool checkpointing = options_.checkpoint.enabled();
-    Result result;
-    declare_measurement_keys(circuit, result);
-    if (can_parallelize(circuit)) {
-      // The dictionary-batched path is shard-atomic: every repetition
-      // completes together at the final gate, so checkpoints exist only
-      // at 0 (entry RNG state) and at completion.
-      Counts counts;
-      std::array<std::uint64_t, 4> engine_state = rng.state();
-      if (resume != nullptr) {
-        validate_resume(*resume, CheckpointMode::kSerialBatched, repetitions,
-                        1);
-        const ShardCheckpoint& shard = resume->shards.front();
-        if (shard.completed == repetitions && repetitions > 0) {
-          // Already finished: rebuild the result and counters from the
-          // checkpoint without sampling.
-          restore_result_histograms(result, shard.histograms);
-          apply_checkpoint_stats(stats_, resume->stats);
-          stats_.used_sample_parallelization = true;
-          if (options_.progress.enabled()) {
-            emit_final_progress(result, repetitions);
-          }
-          return result;
-        }
-        Rng restored = Rng::from_state(shard.rng_state);
-        engine_state = shard.rng_state;
-        counts = sample_parallel(circuit, repetitions, restored);
-      } else {
-        if (checkpointing) {
-          emit_serial_checkpoint(CheckpointMode::kSerialBatched, repetitions,
-                                 0, engine_state, {});
-        }
-        counts = sample_parallel(circuit, repetitions, rng);
-      }
-      for (const auto& [bits, count] : counts) {
-        for (const auto& op : circuit.all_operations()) {
-          if (!op.gate().is_measurement()) continue;
-          result.add_records(op.gate().measurement_key(),
-                             pack_key_bits(bits, op.qubits()), count);
-        }
-      }
-      if (checkpointing) {
-        emit_serial_checkpoint(CheckpointMode::kSerialBatched, repetitions,
-                               repetitions, engine_state,
-                               key_histograms(result));
-      }
-      // Dictionary batching completes every repetition together at the
-      // final gate, so streaming degenerates to the one final update.
-      if (options_.progress.enabled()) emit_final_progress(result, repetitions);
-      return result;
-    }
-    std::map<std::string, Counts> cumulative;
-    std::uint64_t start = 0;
-    Rng resumed_rng;
-    Rng* engine = &rng;
-    if (resume != nullptr) {
-      validate_resume(*resume, CheckpointMode::kSerial, repetitions, 1);
-      const ShardCheckpoint& shard = resume->shards.front();
-      start = shard.completed;
-      restore_result_histograms(result, shard.histograms);
-      cumulative = shard.histograms;
-      apply_checkpoint_stats(stats_, resume->stats);
-      resumed_rng = Rng::from_state(shard.rng_state);
-      engine = &resumed_rng;
-    }
-    const bool track = streaming || checkpointing;
-    for (std::uint64_t rep = start; rep < repetitions; ++rep) {
-      // Deterministic mid-run abort hook for crash-safety tests
-      // (util/fault.h); inert unless armed.
-      fault::throw_if_fails("shard_run");
-      run_one_trajectory(circuit, *engine, &result);
-      const std::uint64_t done = rep + 1;
-      if (track) {
-        for (const std::string& key : result.keys()) {
-          ++cumulative[key][result.values(key).back()];
-        }
-      }
-      // Canonical single-shard checkpoints: every `every` repetitions
-      // plus the final one (see core/progress.h). Streaming and
-      // checkpoint capture walk their own cadences independently.
-      if (streaming &&
-          (done % options_.progress.every == 0 || done == repetitions)) {
-        ProgressUpdate update;
-        update.completed_repetitions = done;
-        update.total_repetitions = repetitions;
-        update.final = done == repetitions;
-        update.histograms = cumulative;
-        options_.progress.sink(update);
-      }
-      if (checkpointing &&
-          (done % options_.checkpoint.every == 0 || done == repetitions)) {
-        emit_serial_checkpoint(CheckpointMode::kSerial, repetitions, done,
-                               engine->state(), cumulative);
-      }
-    }
-    if (options_.progress.enabled() && resume != nullptr) {
-      emit_final_progress(result, repetitions);
-    }
-    if (streaming && repetitions == 0) emit_final_progress(result, 0);
-    return result;
+    return run_with_engine([&](BatchEngine<State>& engine) {
+      return engine.run(circuit, repetitions, rng);
+    });
   }
 
   /// Convenience overload with a seed instead of an engine.
@@ -360,36 +244,10 @@ class Simulator {
   /// gates (the form the paper's runtime benchmarks use). Returns
   /// outcome counts.
   Counts sample(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    if (options_.num_threads != 1 && repetitions > 1) {
-      return run_with_engine(
-          [&](BatchEngine<State>& engine) {
-            return engine.sample(circuit, repetitions, rng);
-          });
-    }
-    validate(circuit, /*require_measurements=*/false);
-    if (can_parallelize(circuit)) {
-      return sample_parallel(circuit, repetitions, rng);
-    }
-    Counts counts;
-    for (std::uint64_t rep = 0; rep < repetitions; ++rep) {
-      ++counts[run_one_trajectory(circuit, rng, nullptr)];
-    }
-    return counts;
+    return run_with_engine([&](BatchEngine<State>& engine) {
+      return engine.sample(circuit, repetitions, rng);
+    });
   }
-
-  /// Asynchronous run(): schedules the whole run as a job on the
-  /// persistent process-wide pool and returns immediately with a future
-  /// over the merged Result. Bit-identical to
-  /// `run(circuit, repetitions, seed)` by construction — the job runs a
-  /// full copy of this simulator through the ordinary synchronous
-  /// run(), so it makes the same serial-vs-engine path choice
-  /// (num_threads, repetitions) and draws the same records. Async jobs
-  /// do not update last_run_stats() (that would race between in-flight
-  /// jobs); use BatchEngine::submit() when the per-run stats are
-  /// needed. Thread-safe against other run_async calls.
-  [[nodiscard]] std::future<Result> run_async(Circuit circuit,
-                                              std::uint64_t repetitions,
-                                              std::uint64_t seed);
 
   /// Counters from the most recent run()/sample() call.
   [[nodiscard]] const RunStats& last_run_stats() const { return stats_; }
@@ -397,32 +255,8 @@ class Simulator {
   /// Current tuning knobs.
   [[nodiscard]] const SimulatorOptions& options() const { return options_; }
 
-  /// Replaces the tuning knobs (used by the engine to force per-shard
-  /// runs onto the serial path).
+  /// Replaces the tuning knobs.
   void set_options(SimulatorOptions options) { options_ = options; }
-
-  /// True when run()/sample() would take the dictionary-batched path of
-  /// Sec. 3.2.3 for this circuit. The engine uses this to pick between
-  /// the multinomial (batched) and even (trajectory) repetition splits.
-  [[nodiscard]] bool can_parallelize_samples(const Circuit& circuit) const {
-    return can_parallelize(circuit);
-  }
-
-  /// The (unevolved) initial state the sampler copies per run. The
-  /// engine's snapshot-sharing batched path evolves one copy of it.
-  [[nodiscard]] const State& initial_state() const { return initial_state_; }
-
-  /// The apply_op ingredient (used by the engine to evolve the shared
-  /// snapshot).
-  [[nodiscard]] const ApplyOpFn& apply_fn() const { return apply_op_; }
-
-  /// True when both hooks are the library defaults. Native
-  /// compute_probability is a pure function of (state, bitstring), so
-  /// the engine may invoke it concurrently against one shared state;
-  /// user-provided hooks carry no such guarantee, so the engine keeps
-  /// them on the v1 path — private per-shard states, still parallel
-  /// across the pool.
-  [[nodiscard]] bool hooks_are_native() const { return hooks_are_native_; }
 
   /// The lazily acquired engine context (null until a multi-threaded
   /// run first needs a pool). Copies of this simulator share it.
@@ -430,53 +264,9 @@ class Simulator {
     return engine_context_;
   }
 
-  /// Throws unless `circuit` is runnable (parameters resolved, and
-  /// measured when `require_measurements`). Shared precondition of the
-  /// serial paths and the engine's snapshot path.
-  void check_runnable(const Circuit& circuit, bool require_measurements) const {
-    BGLS_REQUIRE(!circuit.is_parameterized(),
-                 "circuit has unresolved parameters; resolve() it first");
-    BGLS_REQUIRE(!require_measurements || circuit.has_measurements(),
-                 "circuit has no measurements to sample; append measure()");
-  }
-
-  /// One Sec. 3.2.3 dictionary-resampling step against an already
-  /// evolved state: splits every unique bitstring's multiplicity across
-  /// its candidates with exact multinomial draws from `rng`, replacing
-  /// `dictionary` in place. Returns the number of probability
-  /// evaluations performed. Const and re-entrant — the engine calls it
-  /// concurrently from many shards against one shared read-only state,
-  /// but only when hooks_are_native() (native compute_probability hooks
-  /// are pure functions of their arguments); with user-provided hooks
-  /// the engine falls back to v1 per-shard private states and never
-  /// shares a snapshot.
-  std::size_t resample_dictionary(const State& state, const Operation& op,
-                                  BatchDictionary& dictionary,
-                                  Rng& rng) const {
-    const auto support = support_of(op);
-    BatchDictionary next;
-    std::array<double, (1u << kMaxGateArity)> weights{};
-    std::array<std::uint64_t, (1u << kMaxGateArity)> counts{};
-    std::size_t evaluations = 0;
-    for (const auto& [bits, multiplicity] : dictionary) {
-      const CandidateList candidates = expand_candidates(bits, support);
-      const auto n = static_cast<std::size_t>(candidates.count);
-      for (std::size_t i = 0; i < n; ++i) {
-        weights[i] = compute_probability_(state, candidates.values[i]);
-      }
-      evaluations += n;
-      rng.multinomial(multiplicity, {weights.data(), n}, {counts.data(), n});
-      for (std::size_t i = 0; i < n; ++i) {
-        if (counts[i] > 0) next[candidates.values[i]] += counts[i];
-      }
-    }
-    dictionary.swap(next);
-    return evaluations;
-  }
-
   /// Extracts a key's packed value from a full bitstring: bit j of the
   /// result is b[qubits[j]]. (Public: the engine packs measurement
-  /// records from merged shard histograms with the same convention.)
+  /// records from dictionary counts with the same convention.)
   [[nodiscard]] static Bitstring pack_key_bits(Bitstring b,
                                                std::span<const Qubit> qubits) {
     Bitstring packed = 0;
@@ -487,9 +277,11 @@ class Simulator {
   }
 
  private:
-  /// Routes a multi-repetition call through a BatchEngine sharing the
-  /// cached context and adopts its merged counters so last_run_stats()
-  /// stays meaningful.
+  // The engine drives the per-shard primitives below.
+  friend class BatchEngine<State>;
+
+  /// Runs `body` against a BatchEngine sharing the cached context and
+  /// adopts its merged counters so last_run_stats() stays meaningful.
   template <typename Body>
   auto run_with_engine(Body&& body) {
     BatchEngine<State> engine = make_engine();
@@ -498,22 +290,26 @@ class Simulator {
     return result;
   }
 
-  /// Builds an engine around a copy of this simulator. With
-  /// reuse_thread_pool the engine shares this simulator's cached
-  /// process-wide context (acquired on first use, re-acquired if the
-  /// configured thread count changed); otherwise the engine creates a
-  /// private pool per run — the v1 behavior.
+  /// Builds an engine around a copy of this simulator. Multi-threaded
+  /// engines share this simulator's cached process-wide context
+  /// (acquired on first use, re-acquired if the configured thread count
+  /// changed); single-threaded ones need no pool.
   BatchEngine<State> make_engine();
 
-  void validate(const Circuit& circuit, bool require_measurements) {
-    check_runnable(circuit, require_measurements);
-    stats_ = RunStats{};
+  /// Throws unless `circuit` is runnable (parameters resolved, and
+  /// measured when `require_measurements`).
+  void check_runnable(const Circuit& circuit, bool require_measurements) const {
+    BGLS_REQUIRE(!circuit.is_parameterized(),
+                 "circuit has unresolved parameters; resolve() it first");
+    BGLS_REQUIRE(!require_measurements || circuit.has_measurements(),
+                 "circuit has no measurements to sample; append measure()");
   }
 
+  /// True when the circuit takes the dictionary-batched path of
+  /// Sec. 3.2.3: one shared state only works when the state evolution
+  /// is deterministic (no channels, no classical feed-forward) and
+  /// nothing acts after measurement.
   [[nodiscard]] bool can_parallelize(const Circuit& circuit) const {
-    // Sec. 3.2.3: one shared state only works when the state evolution
-    // is deterministic (no channels, no classical feed-forward) and
-    // nothing acts after measurement.
     if (options_.disable_sample_parallelization || circuit.has_channels() ||
         !circuit.measurements_are_terminal()) {
       return false;
@@ -546,23 +342,61 @@ class Simulator {
     return candidates.values[chosen];
   }
 
+  /// One Sec. 3.2.3 dictionary-resampling step against an already
+  /// evolved state: splits every unique bitstring's multiplicity across
+  /// its candidates with exact multinomial draws from `rng`, replacing
+  /// `dictionary` in place. Returns the number of probability
+  /// evaluations performed.
+  std::size_t resample_dictionary(const State& state, const Operation& op,
+                                  BatchDictionary& dictionary,
+                                  Rng& rng) const {
+    const auto support = support_of(op);
+    BatchDictionary next;
+    std::array<double, (1u << kMaxGateArity)> weights{};
+    std::array<std::uint64_t, (1u << kMaxGateArity)> counts{};
+    std::size_t evaluations = 0;
+    for (const auto& [bits, multiplicity] : dictionary) {
+      const CandidateList candidates = expand_candidates(bits, support);
+      const auto n = static_cast<std::size_t>(candidates.count);
+      for (std::size_t i = 0; i < n; ++i) {
+        weights[i] = compute_probability_(state, candidates.values[i]);
+      }
+      evaluations += n;
+      rng.multinomial(multiplicity, {weights.data(), n}, {counts.data(), n});
+      for (std::size_t i = 0; i < n; ++i) {
+        if (counts[i] > 0) next[candidates.values[i]] += counts[i];
+      }
+    }
+    dictionary.swap(next);
+    return evaluations;
+  }
+
   /// Dictionary-batched sampling (Sec. 3.2.3): evolves one state and
-  /// resamples the dictionary after each gate. The per-gate step lives
-  /// in resample_dictionary() so the engine's snapshot-sharing path can
-  /// drive the identical arithmetic per shard.
+  /// resamples one bitstring→multiplicity dictionary after each gate,
+  /// drawing every multinomial from `rng`.
   Counts sample_parallel(const Circuit& circuit, std::uint64_t repetitions,
                          Rng& rng) {
     stats_.used_sample_parallelization = true;
     stats_.trajectories = 1;
-    State state = initial_state_;
+    State state = *initial_state_;
     BatchDictionary dictionary{{Bitstring{0}, repetitions}};
     stats_.max_dictionary_size = 1;
+    // Evolution is timed only on traced runs: two clock reads per gate
+    // cost more than a small state's gate.
+    const bool timed = options_.trace != nullptr;
+    double evolve_seconds = 0.0;
 
     for (const auto& op : circuit.all_operations()) {
       if (op.gate().is_measurement()) continue;
       options_.cancel_token.throw_if_stopped();
       fault::throw_if_fails("shard_run");
-      apply_op_(op, state, rng);
+      if (timed) {
+        const Stopwatch evolve;
+        apply_op_(op, state, rng);
+        evolve_seconds += evolve.seconds();
+      } else {
+        apply_op_(op, state, rng);
+      }
       ++stats_.state_applications;
       if (options_.skip_diagonal_updates && op.gate().is_diagonal()) {
         ++stats_.diagonal_updates_skipped;
@@ -573,6 +407,7 @@ class Simulator {
       stats_.max_dictionary_size =
           std::max(stats_.max_dictionary_size, dictionary.size());
     }
+    stats_.evolve_ms += evolve_seconds * 1000.0;
     return {dictionary.begin(), dictionary.end()};
   }
 
@@ -612,44 +447,11 @@ class Simulator {
     return candidates.values[chosen % num_candidates];
   }
 
-  /// Emits one single-shard RunCheckpoint through the checkpoint sink
-  /// (the serial paths; see core/checkpoint.h). stats_ at the call
-  /// covers the whole completed prefix — a resumed run seeds it from
-  /// the base checkpoint — so the snapshot's counters are prefix-exact.
-  void emit_serial_checkpoint(CheckpointMode mode, std::uint64_t repetitions,
-                              std::uint64_t done,
-                              const std::array<std::uint64_t, 4>& rng_state,
-                              std::map<std::string, Counts> histograms) {
-    RunCheckpoint checkpoint;
-    checkpoint.mode = mode;
-    checkpoint.total_repetitions = repetitions;
-    ShardCheckpoint shard;
-    shard.total = repetitions;
-    shard.completed = done;
-    shard.rng_state = rng_state;
-    shard.histograms = std::move(histograms);
-    checkpoint.shards.push_back(std::move(shard));
-    checkpoint.stats = checkpoint_stats_from(stats_);
-    options_.checkpoint.sink(checkpoint);
-  }
-
-  /// Emits the final ProgressUpdate carrying the run's complete
-  /// histograms (the degenerate stream of the batched path and of
-  /// 0-repetition runs).
-  void emit_final_progress(const Result& result, std::uint64_t repetitions) {
-    ProgressUpdate update;
-    update.completed_repetitions = repetitions;
-    update.total_repetitions = repetitions;
-    update.final = true;
-    update.histograms = key_histograms(result);
-    options_.progress.sink(update);
-  }
-
   /// One full trajectory; returns the final bitstring and (optionally)
   /// appends measurement records.
   Bitstring run_one_trajectory(const Circuit& circuit, Rng& rng,
                                Result* result) {
-    State state = initial_state_;
+    State state = *initial_state_;
     Bitstring b = 0;
     // Per-trajectory classical record, read by classically-controlled
     // operations (feed-forward).
@@ -712,7 +514,9 @@ class Simulator {
     }
   }
 
-  State initial_state_;
+  /// Never mutated after construction, so copies of the simulator (one
+  /// per engine run and per shard) share it instead of copying it.
+  std::shared_ptr<const State> initial_state_;
   SimulatorOptions options_;
   ApplyOpFn apply_op_;
   ProbabilityFn compute_probability_;
@@ -726,9 +530,9 @@ class Simulator {
 }  // namespace bgls
 
 // The engine templates need the full Simulator definition above, and
-// Simulator::run/sample instantiate BatchEngine when num_threads != 1 —
-// pulling the engine in here keeps "include core/simulator.h" a
-// complete, self-sufficient way to get the parallel paths too.
+// Simulator::run/sample instantiate BatchEngine — pulling the engine in
+// here keeps "include core/simulator.h" a complete, self-sufficient way
+// to run a circuit.
 #include "engine/engine.h"  // IWYU pragma: keep
 
 namespace bgls {
@@ -736,42 +540,12 @@ namespace bgls {
 // Out of line: needs the complete BatchEngine/EngineContext definitions.
 template <typename State>
 BatchEngine<State> Simulator<State>::make_engine() {
-  if (!options_.reuse_thread_pool) {
-    return BatchEngine<State>(*this);
-  }
   const int resolved = ThreadPool::resolve_num_threads(options_.num_threads);
+  if (resolved <= 1) return BatchEngine<State>(*this);
   if (!engine_context_ || engine_context_->num_threads() != resolved) {
     engine_context_ = EngineContext::shared(resolved);
   }
   return BatchEngine<State>(*this, engine_context_);
-}
-
-template <typename State>
-std::future<Result> Simulator<State>::run_async(Circuit circuit,
-                                                std::uint64_t repetitions,
-                                                std::uint64_t seed) {
-  // The job always schedules on the immortal shared pool (a private
-  // pool could be torn down by its own worker once the job holds the
-  // last reference), and *inside* the job a plain copy of this
-  // simulator runs synchronously — same path choice, same draws as
-  // run(circuit, repetitions, seed). The copy is forced onto the shared
-  // pool too: reuse_thread_pool = false would otherwise spawn and join
-  // a private pool inside every job — exactly the per-call cost async
-  // exists to avoid, oversubscribing the machine under many in-flight
-  // jobs. Pool choice is scheduling-only, so the forced reuse never
-  // changes the sampled records. A multi-threaded inner run fans its
-  // shards out on this same pool; nested parallel_for is safe (see
-  // thread_pool.h).
-  const int resolved = ThreadPool::resolve_num_threads(options_.num_threads);
-  std::shared_ptr<EngineContext> context = EngineContext::shared(resolved);
-  Simulator<State> copy = *this;
-  copy.options_.reuse_thread_pool = true;
-  auto task = std::make_shared<std::packaged_task<Result()>>(
-      [sim = std::move(copy), circuit = std::move(circuit), repetitions,
-       seed]() mutable { return sim.run(circuit, repetitions, seed); });
-  std::future<Result> future = task->get_future();
-  context->pool().submit([task] { (*task)(); });
-  return future;
 }
 
 }  // namespace bgls

@@ -1,18 +1,15 @@
 /// \file context.h
 /// Long-lived execution context shared by batch-engine runs.
 ///
-/// The v1 engine constructed a fresh ThreadPool inside every delegated
-/// Simulator::run call — fine for one big run, wasteful in a tight loop
-/// of small ones, where thread-spawn latency dominates the sampling
-/// itself. EngineContext wraps the pool behind a shared_ptr with a
-/// process-wide per-thread-count cache (the qsim-style persistent
-/// executor): every Simulator — and every copy of it, since copying a
-/// Simulator copies the shared_ptr — reuses one pool for as long as
-/// anyone holds a reference.
+/// A fresh ThreadPool per run is fine for one big run but wasteful in a
+/// tight loop of small ones, where thread-spawn latency dominates the
+/// sampling itself. EngineContext wraps the pool behind a shared_ptr
+/// with a process-wide per-thread-count cache (the qsim-style
+/// persistent executor): every Simulator — and every copy of it, since
+/// copying a Simulator copies the shared_ptr — reuses one pool.
 ///
-/// The context is also what asynchronous jobs (BatchEngine::submit /
-/// run_async) capture: a job keeps its own shared_ptr, so the pool
-/// outlives the engine that submitted it.
+/// Session's asynchronous jobs are scheduled on the same cached pools,
+/// which live for the whole process.
 
 #pragma once
 

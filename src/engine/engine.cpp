@@ -22,8 +22,8 @@ struct EngineMetrics {
                               "Batch-engine shards executed");
     shard_seconds = registry.histogram(
         "bgls_engine_shard_seconds",
-        "Per-shard wall time (trajectory shards: whole shard; batched "
-        "path: the shard's accumulated dictionary-resample time)");
+        "Per-shard wall time (a trajectory shard, or the whole "
+        "dictionary-batched run)");
   }
 
   static EngineMetrics& instance() {
@@ -64,13 +64,6 @@ std::vector<std::uint64_t> even_split(std::uint64_t total,
   return counts;
 }
 
-std::vector<std::uint64_t> multinomial_split(std::uint64_t total,
-                                             std::size_t shards, Rng& plan) {
-  BGLS_REQUIRE(shards > 0, "cannot split across zero shards");
-  const std::vector<double> weights(shards, 1.0);
-  return plan.multinomial(total, weights);
-}
-
 RunStats merge_shard_stats(std::span<const RunStats> shards,
                            int threads_used) {
   RunStats merged;
@@ -98,25 +91,6 @@ Counts merge_counts(std::span<const Counts> shards) {
     for (const auto& [bits, count] : shard) merged[bits] += count;
   }
   return merged;
-}
-
-void accumulate_stats(RunStats& total, const RunStats& chunk) {
-  total.state_applications += chunk.state_applications;
-  total.probability_evaluations += chunk.probability_evaluations;
-  total.max_dictionary_size =
-      std::max(total.max_dictionary_size, chunk.max_dictionary_size);
-  total.trajectories += chunk.trajectories;
-  total.used_sample_parallelization |= chunk.used_sample_parallelization;
-  total.diagonal_updates_skipped += chunk.diagonal_updates_skipped;
-  total.evolve_ms += chunk.evolve_ms;
-}
-
-void accumulate_result_histograms(std::map<std::string, Counts>& cumulative,
-                                  const Result& chunk) {
-  for (const std::string& key : chunk.keys()) {
-    Counts& target = cumulative[key];
-    for (const Bitstring value : chunk.values(key)) ++target[value];
-  }
 }
 
 }  // namespace bgls::engine_detail

@@ -1,59 +1,46 @@
 /// \file engine.h
-/// Parallel batch-sampling engine v2 (the scaling layer above the
-/// gate-by-gate Simulator).
+/// The batch-sampling engine: the one place a Simulator<State> run is
+/// decomposed into shards and executed (the scaling layer above the
+/// gate-by-gate primitives). Simulator::run/sample always come here.
 ///
-/// The paper's dictionary batching (Sec. 3.2.3) parallelizes *samples*
-/// inside one thread; this engine adds real threads for the workloads
-/// that batching cannot absorb, the same direction qsim takes with
-/// multi-threaded trajectory simulation:
-///  - per-trajectory runs (channels, mid-circuit measurement, classical
-///    feed-forward) shard the repetition count across RNG streams, one
-///    cloned state + one stream per shard;
-///  - the dictionary-batched unitary path multinomially splits the
-///    repetition count across streams and merges the per-shard
-///    histograms (a sum of independent multinomials with the same
-///    outcome distribution is the full multinomial, so the merged
-///    histogram is statistically identical to a single-shard run). v2
-///    amortizes the state evolution: one snapshot is evolved per gate
-///    and shared read-only across every repetition shard, so the
-///    per-gate state cost is paid once instead of once per shard;
+/// The decomposition follows from the circuit alone, never from the
+/// thread count:
+///  - circuits eligible for the dictionary batching of Sec. 3.2.3
+///    (unitary, terminal measurements) evolve one state and resample one
+///    bitstring→multiplicity dictionary, every multinomial drawn from the
+///    caller's stream. Extra threads go to the gate kernels (OpenMP);
+///  - per-trajectory circuits (channels, mid-circuit measurement,
+///    classical feed-forward, or batching disabled) split the repetition
+///    count evenly across SimulatorOptions::num_rng_streams
+///    jump-derived streams, one cloned state + one stream per shard, the
+///    same direction qsim takes with multi-threaded trajectory
+///    simulation;
 ///  - run_batch() spreads many circuits (QAOA parameter sweeps,
-///    randomized benchmarking) across the pool with two-level
-///    (circuit × repetition-shard) sharding, so a few large trajectory
-///    circuits still saturate the pool;
-///  - submit()/run_async() schedule a whole run as an asynchronous pool
-///    job and return a std::future, so callers overlap circuit
-///    construction with sampling. Exceptions thrown inside a job — or
-///    inside any of its shards — propagate through the future.
+///    randomized benchmarking) across the pool with one job per
+///    (circuit, repetition-shard) pair, so a few large trajectory
+///    circuits still saturate the pool.
 ///
-/// The pool itself is long-lived: engines share a process-wide
-/// EngineContext (context.h) cached per thread count, so tight loops of
-/// small runs stop paying thread-spawn latency per call
-/// (SimulatorOptions::reuse_thread_pool opts back into the v1
-/// pool-per-run behavior).
+/// The pool itself is long-lived: multi-threaded engines share a
+/// process-wide EngineContext (context.h) cached per thread count, so
+/// tight loops of small runs stop paying thread-spawn latency per call.
+/// At num_threads <= 1 every shard runs inline on the calling thread.
 ///
-/// Determinism is a hard guarantee: the shard decomposition depends only
-/// on (repetitions, SimulatorOptions::num_rng_streams) and — on the
-/// batched path, whose multinomial split draws from a seed-derived
-/// planning stream — the caller's seed; every shard owns a jump-derived
-/// Rng stream fixed by that same seed. The thread count, sync-vs-async
-/// submission, pool reuse, and run_batch's sharding level never enter,
-/// so a fixed seed yields bit-identical merged histograms for *any* of
-/// those configurations. Threads only decide which core executes a
-/// shard, never what the shard computes.
+/// Determinism is a hard guarantee: the decomposition depends only on
+/// the circuit, the repetitions, num_rng_streams and the caller's seed,
+/// and every shard's draws are fixed by its own stream. Threads only
+/// decide which core executes a shard, never what the shard computes,
+/// so a fixed seed yields bit-identical merged histograms at every
+/// thread count, including 1.
 
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,7 +52,7 @@
 #include "engine/context.h"
 #include "engine/thread_pool.h"
 #include "obs/trace.h"
-#include "util/cancellation.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace bgls {
@@ -82,13 +69,6 @@ namespace engine_detail {
 [[nodiscard]] std::vector<std::uint64_t> even_split(std::uint64_t total,
                                                     std::size_t shards);
 
-/// Multinomial split of `total` into `shards` uniform-weight counts
-/// drawn from `plan` — the Sec. 3.2.3-faithful way to divide a batched
-/// repetition count so each shard's histogram is an honest multinomial
-/// sample of its own size.
-[[nodiscard]] std::vector<std::uint64_t> multinomial_split(
-    std::uint64_t total, std::size_t shards, Rng& plan);
-
 /// Aggregates per-shard counters into one RunStats (totals summed, peak
 /// dictionary maxed, per_stream filled in shard order).
 [[nodiscard]] RunStats merge_shard_stats(std::span<const RunStats> shards,
@@ -96,17 +76,6 @@ namespace engine_detail {
 
 /// Sums shard histograms into one.
 [[nodiscard]] Counts merge_counts(std::span<const Counts> shards);
-
-/// Accumulates one chunk's counters into a shard's running total (the
-/// progress-chunked shard loop runs one shard as several sequential
-/// Simulator::run calls): counters sum, the dictionary peak maxes, the
-/// parallelization flag ORs. threads_used/per_stream are left for
-/// merge_shard_stats.
-void accumulate_stats(RunStats& total, const RunStats& chunk);
-
-/// Adds `chunk`'s histograms into a cumulative per-key map.
-void accumulate_result_histograms(std::map<std::string, Counts>& cumulative,
-                                  const Result& chunk);
 
 /// Telemetry hooks (engine.cpp) feeding the process-wide engine series
 /// — bgls_engine_runs_total / bgls_engine_shards_total /
@@ -140,94 +109,58 @@ class [[maybe_unused]] ShardTimer {
 
 }  // namespace engine_detail
 
-/// Multi-threaded driver for a Simulator<State>: shards repetitions (or
-/// whole circuits) across a long-lived thread pool with one RNG stream
-/// per shard, and merges the results deterministically in shard order.
+/// Executes a Simulator<State>'s runs: decomposes each run into shards
+/// (see file comment), executes them on a long-lived thread pool — or
+/// inline at one thread — and merges the results deterministically in
+/// shard order.
 ///
 /// Thread count comes from the prototype simulator's
 /// SimulatorOptions::num_threads (0 = hardware concurrency) — or, when
-/// an EngineContext is shared in, from the context; the number of RNG
-/// streams — and therefore the sampled values — comes from
-/// SimulatorOptions::num_rng_streams and is independent of the thread
-/// count.
+/// an EngineContext is shared in, from the context. It never changes
+/// the sampled values.
 ///
-/// Concurrency contract: submit()/run_async() are safe to call from any
-/// number of threads concurrently; the synchronous run()/sample()/
-/// run_batch() mutate last_run_stats() and must not be called
-/// concurrently on one engine (each async job runs through its own
-/// internal engine, so in-flight jobs never contend).
+/// Concurrency contract: run()/sample()/run_batch() mutate
+/// last_run_stats() and must not be called concurrently on one engine;
+/// give each concurrent caller its own engine, as Session's asynchronous
+/// jobs do.
 template <typename State>
 class BatchEngine {
  public:
-  /// Outcome of an asynchronously submitted job: the merged Result plus
-  /// the job's own RunStats (async jobs never touch last_run_stats(),
-  /// which would race between in-flight jobs).
-  struct JobOutcome {
-    Result result;
-    RunStats stats;
-  };
-
-  /// Wraps a copy of `prototype`; the copy is forced to num_threads = 1
-  /// so per-shard runs never re-enter the engine. The pool is acquired
-  /// lazily on first need: a process-wide shared one when the prototype
-  /// options say reuse_thread_pool, a private one otherwise.
-  explicit BatchEngine(Simulator<State> prototype)
-      : BatchEngine(std::move(prototype), nullptr) {}
-
-  /// Same, but shares a long-lived `context` (its thread count wins
-  /// over the prototype's options). Used by Simulator's cached-context
-  /// delegation and by async jobs.
-  BatchEngine(Simulator<State> prototype,
-              std::shared_ptr<EngineContext> context)
+  /// Wraps a copy of `prototype`, optionally sharing a long-lived
+  /// `context` (its thread count wins over the prototype's options).
+  /// Without one, a multi-threaded engine acquires the process-wide
+  /// shared pool on first need.
+  explicit BatchEngine(Simulator<State> prototype,
+                       std::shared_ptr<EngineContext> context = nullptr)
       : prototype_(std::move(prototype)), context_(std::move(context)) {
-    SimulatorOptions options = prototype_.options();
+    // Shards copy the prototype, so they start from fresh counters.
+    prototype_.stats_ = RunStats{};
+    const SimulatorOptions& options = prototype_.options();
     num_threads_ = context_
                        ? context_->num_threads()
                        : ThreadPool::resolve_num_threads(options.num_threads);
     num_streams_ = options.num_rng_streams < 1 ? 1 : options.num_rng_streams;
-    reuse_pool_ = options.reuse_thread_pool;
-    two_level_ = options.two_level_batch_sharding;
-    token_ = options.cancel_token;
-    // The engine owns progress emission (canonical shard-ordered
-    // updates via ProgressCollector); per-shard simulators must not
-    // also stream. The cancellation token stays in the shard options so
-    // deep trajectories abort at gate granularity too.
-    progress_ = options.progress;
-    options.progress = {};
-    options.num_threads = 1;
-    // The engine also owns trace recording (shard/evolve spans); the
-    // per-shard simulators run untraced.
-    trace_ = options.trace;
-    options.trace = nullptr;
-    // Checkpoint capture and resume are engine-level too: the engine
-    // snapshots whole-run state across shards (core/checkpoint.h), so
-    // per-shard simulators must neither emit nor resume on their own.
-    checkpoint_ = options.checkpoint;
-    options.checkpoint = {};
-    resume_ = options.resume;
-    options.resume = nullptr;
-    prototype_.set_options(options);
   }
 
   /// Effective worker count (after resolving 0 = auto).
   [[nodiscard]] int num_threads() const { return num_threads_; }
 
-  /// Number of deterministic RNG shards per run.
+  /// Number of deterministic RNG shards per trajectory run.
   [[nodiscard]] std::uint64_t num_streams() const { return num_streams_; }
 
-  /// The engine context once acquired (null until a run needed the
-  /// pool). Exposed so tests can assert pool sharing.
-  [[nodiscard]] std::shared_ptr<EngineContext> context() const {
-    const std::lock_guard<std::mutex> lock(context_mutex_);
-    return context_;
-  }
-
-  /// Parallel equivalent of Simulator::run: same contract, measurement
-  /// records merged in shard order.
+  /// Samples `repetitions` runs of `circuit` and returns the measurement
+  /// records, merged in shard order. Progress streaming, checkpoint
+  /// capture and resume follow the prototype's options.
   Result run(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    JobOutcome outcome = run_job(circuit, repetitions, rng);
-    stats_ = std::move(outcome.stats);
-    return std::move(outcome.result);
+    begin_run(circuit, /*require_measurements=*/true);
+    Result result;
+    declare_measurement_keys(circuit, result);
+    if (prototype_.can_parallelize(circuit)) {
+      run_dictionary(circuit, repetitions, rng, result);
+    } else {
+      run_trajectories(circuit, repetitions, rng, result);
+    }
+    return result;
   }
 
   /// Convenience overload with a seed instead of an engine.
@@ -237,760 +170,382 @@ class BatchEngine {
     return run(circuit, repetitions, rng);
   }
 
-  /// Parallel equivalent of Simulator::sample: final-bitstring counts
-  /// over all qubits, merged by summation.
+  /// Final-bitstring counts over all qubits, ignoring measurement gates
+  /// (Simulator::sample), merged by summation.
   Counts sample(const Circuit& circuit, std::uint64_t repetitions, Rng& rng) {
-    // Validated here, not in the shards: zero-repetition shards never
-    // run, which must not let an unrunnable circuit slip through
-    // silently.
-    prototype_.check_runnable(circuit, /*require_measurements=*/false);
-    token_.throw_if_stopped();
-    engine_detail::count_engine_run();
-    const bool batched = prototype_.can_parallelize_samples(circuit);
-    if (batched && prototype_.hooks_are_native()) {
-      BatchedPlan plan = derive_batched_plan(repetitions, rng);
-      BatchedOutcome outcome = sample_batched_shared(circuit, plan);
-      stats_ = std::move(outcome.stats);
-      return engine_detail::merge_counts(outcome.shard_counts);
+    begin_run(circuit, /*require_measurements=*/false);
+    if (prototype_.can_parallelize(circuit)) {
+      return sample_dictionary(circuit, repetitions, rng);
     }
-    // Custom hooks never share a snapshot (no thread-safety guarantee
-    // against one state probed from many shards): they keep the v1
-    // per-shard private evolution, still fanned out across the pool.
-    auto [shard_counts, stats] = run_sharded<Counts>(
-        circuit, repetitions, rng, /*multinomial=*/batched,
-        [](Simulator<State>& sim, const Circuit& c, std::uint64_t reps,
-           Rng& r) { return sim.sample(c, reps, r); });
-    stats_ = std::move(stats);
+    const TrajectoryPlan plan = plan_trajectories(repetitions, rng);
+    std::vector<Counts> shard_counts(plan.shard_reps.size());
+    std::vector<RunStats> shard_stats(plan.shard_reps.size());
+    execute(plan.shard_reps.size(), [&](std::size_t i) {
+      if (plan.shard_reps[i] == 0) return;
+      options().cancel_token.throw_if_stopped();
+      Simulator<State> local = prototype_;
+      Rng stream = plan.streams[i];
+      const ShardScope scope(*this, i);
+      for (std::uint64_t rep = 0; rep < plan.shard_reps[i]; ++rep) {
+        fault::throw_if_fails("shard_run");
+        ++shard_counts[i][local.run_one_trajectory(circuit, stream, nullptr)];
+      }
+      shard_stats[i] = local.stats_;
+    });
+    stats_ = engine_detail::merge_shard_stats(shard_stats, num_threads_);
     return engine_detail::merge_counts(shard_counts);
-  }
-
-  /// Schedules run() as an asynchronous job on the shared pool and
-  /// returns a future over the merged Result plus the job's RunStats.
-  /// Bit-identical to run(circuit, repetitions, seed). Thread-safe:
-  /// any number of threads may submit concurrently; each job samples
-  /// through its own internal engine sharing this engine's pool, so
-  /// jobs never contend on engine state. Exceptions thrown inside the
-  /// job (including inside any shard) surface from future::get().
-  /// Concurrency note: the pool holds num_threads - 1 workers (the
-  /// synchronous paths add the calling thread) and the job occupies
-  /// one, so a lone async job fans its shards out num_threads - 1 wide
-  /// — at num_threads == 2 it runs serially. Results are unaffected;
-  /// submit several jobs (or raise num_threads by one) to saturate.
-  [[nodiscard]] std::future<JobOutcome> submit(Circuit circuit,
-                                               std::uint64_t repetitions,
-                                               std::uint64_t seed) {
-    return dispatch_async<JobOutcome>(
-        std::move(circuit), repetitions, seed,
-        [](BatchEngine<State>& worker, const Circuit& c, std::uint64_t reps,
-           Rng& rng) {
-          JobOutcome outcome;
-          outcome.result = worker.run(c, reps, rng);
-          outcome.stats = worker.last_run_stats();
-          return outcome;
-        });
-  }
-
-  /// submit() without the stats: a plain future over the Result.
-  [[nodiscard]] std::future<Result> run_async(Circuit circuit,
-                                              std::uint64_t repetitions,
-                                              std::uint64_t seed) {
-    return dispatch_async<Result>(
-        std::move(circuit), repetitions, seed,
-        [](BatchEngine<State>& worker, const Circuit& c, std::uint64_t reps,
-           Rng& rng) { return worker.run(c, reps, rng); });
   }
 
   /// Many-circuit batch API (QAOA parameter sweeps, randomized
   /// benchmarking): runs every circuit for `repetitions` and returns the
   /// per-circuit results in input order.
   ///
-  /// v2 shards two levels deep: every circuit owns a root stream, and a
-  /// trajectory circuit's repetitions are further sharded across
-  /// num_rng_streams jump-derived streams (dictionary-batched circuits
-  /// keep one shard — their single evolution already amortizes the
-  /// repetitions, so splitting would only multiply state-evolution
-  /// cost). With two_level_batch_sharding each (circuit, shard) pair is
-  /// its own pool job, so a handful of large trajectory circuits still
-  /// saturates the pool; without it each circuit is one job running its
-  /// shards serially. The decomposition is identical in both modes and
+  /// Every circuit owns a root stream split off `rng`. A trajectory
+  /// circuit's repetitions are sharded across num_rng_streams
+  /// jump-derived streams; a dictionary-batched circuit keeps one shard,
+  /// since its single evolution already amortizes the repetitions. Each
+  /// (circuit, shard) pair is its own pool job. The decomposition is
   /// independent of the thread count, so the outputs are bit-identical
-  /// across threads and sharding levels.
+  /// across threads.
   std::vector<Result> run_batch(std::span<const Circuit> circuits,
                                 std::uint64_t repetitions, Rng& rng) {
-    struct CircuitPlan {
-      std::vector<Rng> streams;
-      std::vector<std::uint64_t> shard_reps;
-      std::size_t first_slot = 0;
+    struct Job {
+      std::size_t circuit = 0;
+      bool batched = false;
+      Rng stream;
+      std::uint64_t repetitions = 0;
     };
     engine_detail::count_engine_run();
     Rng root = rng.split();
-    std::vector<CircuitPlan> plans(circuits.size());
-    std::size_t total_shards = 0;
-    const std::uint64_t max_shards = repetitions < 1 ? 1 : repetitions;
-    const auto traj_shards = static_cast<std::size_t>(
-        num_streams_ < max_shards ? num_streams_ : max_shards);
+    const std::size_t traj_shards = shard_count(repetitions);
+    std::vector<Job> jobs;
     for (std::size_t i = 0; i < circuits.size(); ++i) {
-      CircuitPlan& plan = plans[i];
-      // Validate up front: zero-repetition shards never construct a
-      // per-shard Simulator, so without this an unrunnable circuit
-      // would silently yield an empty Result instead of throwing.
+      // Validate up front: zero-repetition shards never run, so without
+      // this an unrunnable circuit would silently yield an empty Result
+      // instead of throwing.
       prototype_.check_runnable(circuits[i], /*require_measurements=*/true);
       // Stateful split: each circuit's root leaves the jump chain, so
       // shard streams of different circuits never coincide.
       const Rng circuit_root = root.split();
-      const std::size_t shards =
-          prototype_.can_parallelize_samples(circuits[i]) ? 1 : traj_shards;
-      plan.streams = engine_detail::make_streams(circuit_root, shards);
-      plan.shard_reps =
-          shards == 1 ? std::vector<std::uint64_t>{repetitions}
-                      : engine_detail::even_split(repetitions, shards);
-      plan.first_slot = total_shards;
-      total_shards += shards;
+      const bool batched = prototype_.can_parallelize(circuits[i]);
+      const std::size_t shards = batched ? 1 : traj_shards;
+      const std::vector<Rng> streams =
+          engine_detail::make_streams(circuit_root, shards);
+      const std::vector<std::uint64_t> shard_reps =
+          engine_detail::even_split(repetitions, shards);
+      for (std::size_t s = 0; s < shards; ++s) {
+        jobs.push_back(Job{i, batched, streams[s], shard_reps[s]});
+      }
     }
 
-    std::vector<Result> shard_results(total_shards);
-    std::vector<RunStats> shard_stats(total_shards);
-    const auto run_shard = [&](std::size_t i, std::size_t s) {
-      const CircuitPlan& plan = plans[i];
-      if (plan.shard_reps[s] == 0) return;
-      token_.throw_if_stopped();
-      const std::size_t slot = plan.first_slot + s;
-      const engine_detail::ShardTimer timer;
-      // kRoot: a shard runs inline on the caller's thread at 1 thread
-      // but on a pool thread otherwise; pinning its parent to the
-      // trace root keeps the span tree byte-stable across thread
-      // counts.
-      obs::TraceSpan span(trace_, "shard", slot, obs::TraceSpan::Nest::kRoot);
+    std::vector<Result> shard_results(jobs.size());
+    std::vector<RunStats> shard_stats(jobs.size());
+    execute(jobs.size(), [&](std::size_t j) {
+      const Job& job = jobs[j];
+      if (job.repetitions == 0) return;
+      options().cancel_token.throw_if_stopped();
+      const Circuit& circuit = circuits[job.circuit];
       Simulator<State> local = prototype_;
-      Rng stream = plan.streams[s];
-      shard_results[slot] = local.run(circuits[i], plan.shard_reps[s], stream);
-      shard_stats[slot] = local.last_run_stats();
-    };
-    if (two_level_) {
-      std::vector<std::pair<std::size_t, std::size_t>> jobs;
-      jobs.reserve(total_shards);
-      for (std::size_t i = 0; i < circuits.size(); ++i) {
-        for (std::size_t s = 0; s < plans[i].streams.size(); ++s) {
-          jobs.emplace_back(i, s);
+      Rng stream = job.stream;
+      Result& out = shard_results[j];
+      declare_measurement_keys(circuit, out);
+      const ShardScope scope(*this, j);
+      if (job.batched) {
+        add_dictionary_records(
+            circuit, local.sample_parallel(circuit, job.repetitions, stream),
+            out);
+      } else {
+        for (std::uint64_t rep = 0; rep < job.repetitions; ++rep) {
+          fault::throw_if_fails("shard_run");
+          local.run_one_trajectory(circuit, stream, &out);
         }
       }
-      execute(jobs.size(), [&](std::size_t j) {
-        run_shard(jobs[j].first, jobs[j].second);
-      });
-    } else {
-      execute(circuits.size(), [&](std::size_t i) {
-        for (std::size_t s = 0; s < plans[i].streams.size(); ++s) {
-          run_shard(i, s);
-        }
-      });
-    }
+      shard_stats[j] = local.stats_;
+    });
 
     std::vector<Result> results(circuits.size());
     for (std::size_t i = 0; i < circuits.size(); ++i) {
       declare_measurement_keys(circuits[i], results[i]);
-      for (std::size_t s = 0; s < plans[i].streams.size(); ++s) {
-        results[i].append(shard_results[plans[i].first_slot + s]);
-      }
+    }
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      results[jobs[j].circuit].append(shard_results[j]);
     }
     stats_ = engine_detail::merge_shard_stats(shard_stats, num_threads_);
     return results;
   }
 
-  /// Aggregated counters from the most recent synchronous
-  /// run()/sample()/run_batch(), including the per-stream shard
-  /// counters. Async jobs report through JobOutcome::stats instead.
+  /// Aggregated counters from the most recent run()/sample()/
+  /// run_batch(), including the per-stream shard counters.
   [[nodiscard]] const RunStats& last_run_stats() const { return stats_; }
 
  private:
-  /// Per-shard dictionaries plus the run's merged counters — the output
-  /// of the snapshot-sharing batched path.
-  struct BatchedOutcome {
-    std::vector<Counts> shard_counts;
-    RunStats stats;
+  /// The seed-determined decomposition of a trajectory run: one
+  /// jump-derived stream per shard and the even repetition split.
+  struct TrajectoryPlan {
+    std::vector<Rng> streams;
+    std::vector<std::uint64_t> shard_reps;
   };
 
-  /// Below this many total dictionary entries a fan-out costs more than
-  /// the resampling itself; the shards then run inline on the calling
-  /// thread. Scheduling-only: shard i's draws are fixed by its stream
-  /// either way, so the threshold never changes results.
-  static constexpr std::size_t kInlineResampleThreshold = 64;
+  /// Times and traces one executing shard: counts it into the engine
+  /// shard series and records a "shard" span. kRoot: a shard runs
+  /// inline on the caller's thread at 1 thread but on a pool thread
+  /// otherwise; pinning its parent to the trace root keeps the span
+  /// tree byte-stable across thread counts.
+  struct ShardScope {
+    ShardScope(const BatchEngine& engine, std::size_t index)
+        : span(engine.options().trace, "shard", index,
+               obs::TraceSpan::Nest::kRoot) {}
+    const engine_detail::ShardTimer timer;
+    obs::TraceSpan span;
+  };
 
-  /// run()'s body, shared with async jobs: declares the measurement
-  /// keys, shards the repetitions, merges records in shard order.
-  JobOutcome run_job(const Circuit& circuit, std::uint64_t repetitions,
-                     Rng& rng) {
-    // Validated here, not in the shards: zero-repetition shards never
-    // run, which must not let an unrunnable circuit slip through
-    // silently.
-    prototype_.check_runnable(circuit, /*require_measurements=*/true);
-    token_.throw_if_stopped();
+  [[nodiscard]] const SimulatorOptions& options() const {
+    return prototype_.options();
+  }
+
+  /// Up-front checks shared by run() and sample(). Validated here, not
+  /// in the shards: zero-repetition shards never run, which must not let
+  /// an unrunnable circuit slip through silently.
+  void begin_run(const Circuit& circuit, bool require_measurements) {
+    prototype_.check_runnable(circuit, require_measurements);
+    options().cancel_token.throw_if_stopped();
     engine_detail::count_engine_run();
-    JobOutcome outcome;
-    // Collected once: all_operations() materializes the flattened list,
-    // and the batched merge below revisits the keys per unique
-    // bitstring.
-    std::vector<std::pair<std::string, std::vector<Qubit>>> keys;
-    for (const auto& op : circuit.all_operations()) {
-      if (op.gate().is_measurement()) {
-        keys.emplace_back(
-            op.gate().measurement_key(),
-            std::vector<Qubit>{op.qubits().begin(), op.qubits().end()});
-        outcome.result.declare_key(keys.back().first, keys.back().second);
-      }
-    }
-    const bool batched = prototype_.can_parallelize_samples(circuit);
-    const RunCheckpoint* resume = resume_.get();
-    // The shared-snapshot path is shard-atomic, so it serves fresh
-    // runs, resumes from the initial (nothing-complete) checkpoint, and
-    // rebuilds from the final (everything-complete) one. A *partially*
-    // complete kEngineBatched checkpoint (produced by the custom-hook
-    // fallback, whose shards finish independently) routes to the
-    // fallback below, which can skip completed shards.
-    const bool partially_complete =
-        resume != nullptr && !resume->complete() &&
-        resume->completed_repetitions() > 0;
-    if (batched && prototype_.hooks_are_native() && !partially_complete) {
-      const std::size_t shards = shard_count(repetitions);
-      if (resume != nullptr) {
-        validate_resume(*resume, CheckpointMode::kEngineBatched, repetitions,
-                        shards);
-        if (resume->complete() && repetitions > 0) {
-          // Every shard finished before the interruption: rebuild the
-          // result and counters from the checkpoint without sampling.
-          for (const ShardCheckpoint& shard : resume->shards) {
-            restore_result_histograms(outcome.result, shard.histograms);
-          }
-          apply_checkpoint_stats(outcome.stats, resume->stats);
-          outcome.stats.used_sample_parallelization = true;
-          outcome.stats.threads_used = static_cast<std::size_t>(num_threads_);
-          outcome.stats.per_stream.resize(shards);
-          emit_resumed_final_progress(outcome.result, repetitions);
-          return outcome;
-        }
-      }
-      BatchedPlan plan = derive_batched_plan(repetitions, rng);
-      if (resume != nullptr) {
-        // Same request, same seed: the derived plan must reproduce the
-        // checkpointed decomposition exactly.
-        for (std::size_t i = 0; i < shards; ++i) {
-          BGLS_REQUIRE(plan.shard_reps[i] == resume->shards[i].total,
-                       "checkpoint shard sizes do not match this request's "
-                       "decomposition; resume with the original seed and "
-                       "num_rng_streams");
-        }
-      }
-      if (checkpoint_.enabled() && resume == nullptr) {
-        // Durable initial checkpoint: the decomposition plus each
-        // shard's starting stream, so an interrupted batched run
-        // resumes (= deterministically re-runs) from it.
-        checkpoint_.sink(batched_plan_checkpoint(plan, repetitions));
-      }
-      BatchedOutcome shared = sample_batched_shared(circuit, plan);
-      for (const Counts& shard : shared.shard_counts) {
-        for (const auto& [bits, count] : shard) {
-          for (const auto& [key, qubits] : keys) {
-            outcome.result.add_records(
-                key, Simulator<State>::pack_key_bits(bits, qubits), count);
-          }
-        }
-      }
-      outcome.stats = std::move(shared.stats);
-      if (checkpoint_.enabled()) {
-        RunCheckpoint final_ck = batched_plan_checkpoint(plan, repetitions);
-        for (std::size_t i = 0; i < final_ck.shards.size(); ++i) {
-          ShardCheckpoint& shard = final_ck.shards[i];
-          shard.completed = shard.total;
-          for (const auto& [bits, count] : shared.shard_counts[i]) {
-            for (const auto& [key, qubits] : keys) {
-              shard.histograms[key]
-                  [Simulator<State>::pack_key_bits(bits, qubits)] += count;
-            }
-          }
-        }
-        final_ck.stats = checkpoint_stats_from(outcome.stats);
-        checkpoint_.sink(final_ck);
-      }
-      if (progress_.enabled() && resume == nullptr) {
-        emit_batched_progress(shared.shard_counts, keys, repetitions);
-      }
-      emit_resumed_final_progress(outcome.result, repetitions);
-      return outcome;
-    }
-    // Custom hooks keep the v1 per-shard private evolution (see
-    // sample()); the shard decomposition and streams match the shared
-    // path, so for hooks computing the native values the histograms are
-    // bit-identical either way.
-    auto [shard_results, stats] = run_sharded<Result>(
-        circuit, repetitions, rng, /*multinomial=*/batched,
-        [](Simulator<State>& sim, const Circuit& c, std::uint64_t reps,
-           Rng& r) { return sim.run(c, reps, r); },
-        &progress_);
-    for (const Result& shard : shard_results) outcome.result.append(shard);
-    outcome.stats = std::move(stats);
-    emit_resumed_final_progress(outcome.result, repetitions);
-    return outcome;
   }
 
-  /// A resumed run suppresses intermediate progress updates (the
-  /// pre-interruption prefix already streamed them) but still owes the
-  /// final one. No-op on fresh runs.
-  void emit_resumed_final_progress(const Result& result,
-                                   std::uint64_t repetitions) {
-    if (resume_ == nullptr || !progress_.enabled()) return;
-    ProgressUpdate update;
-    update.completed_repetitions = repetitions;
-    update.total_repetitions = repetitions;
-    update.final = true;
-    update.histograms = key_histograms(result);
-    progress_.sink(update);
-  }
-
-  /// The shard count of a run: min(num_rng_streams, max(1, reps)).
+  /// The shard count of a trajectory run: min(num_rng_streams,
+  /// max(1, reps)).
   [[nodiscard]] std::size_t shard_count(std::uint64_t repetitions) const {
     const std::uint64_t max_shards = repetitions < 1 ? 1 : repetitions;
     return static_cast<std::size_t>(
         num_streams_ < max_shards ? num_streams_ : max_shards);
   }
 
-  /// The batched path's degenerate stream: every shard's repetitions
-  /// complete together at the final gate, so after the run the shard
-  /// prefixes are emitted in canonical order. A shard's repetition
-  /// count is recovered from its multinomial dictionary (the counts sum
-  /// to the shard's split), so the sequence is fixed by the seed alone.
-  void emit_batched_progress(
-      std::span<const Counts> shard_counts,
-      std::span<const std::pair<std::string, std::vector<Qubit>>> keys,
-      std::uint64_t repetitions) {
-    std::map<std::string, Counts> cumulative;
-    std::uint64_t completed = 0;
-    std::uint64_t last_emitted = 0;
-    bool final_emitted = false;
-    for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-      std::uint64_t shard_reps = 0;
-      for (const auto& [bits, count] : shard_counts[i]) {
-        shard_reps += count;
-        for (const auto& [key, qubits] : keys) {
-          cumulative[key][Simulator<State>::pack_key_bits(bits, qubits)] +=
-              count;
-        }
-      }
-      completed += shard_reps;
-      const bool final = i + 1 == shard_counts.size();
-      if (completed > last_emitted || (final && !final_emitted)) {
-        ProgressUpdate update;
-        update.completed_repetitions = completed;
-        update.total_repetitions = repetitions;
-        update.final = final;
-        update.histograms = cumulative;
-        progress_.sink(update);
-        last_emitted = completed;
-        final_emitted = final;
-      }
-    }
-  }
-
-  /// The seed-determined decomposition of a batched run: per-shard
-  /// streams, the multinomial repetition split, and the evolution
-  /// stream. Derived identically on fresh and resumed runs (same
-  /// request, same seed), which is what lets a resume validate itself
-  /// against the checkpointed plan.
-  struct BatchedPlan {
-    std::vector<Rng> streams;
-    std::vector<std::uint64_t> shard_reps;
-    Rng evolution;
-  };
-
-  BatchedPlan derive_batched_plan(std::uint64_t repetitions, Rng& rng) {
+  TrajectoryPlan plan_trajectories(std::uint64_t repetitions, Rng& rng) const {
     const std::size_t shards = shard_count(repetitions);
     Rng root = rng.split();
-    Rng plan = root.split();
-    BatchedPlan out;
-    out.streams = engine_detail::make_streams(root, shards);
-    out.shard_reps = engine_detail::multinomial_split(repetitions, shards, plan);
-    // The shared evolution consumes no randomness (this path forbids
-    // channels), but custom apply hooks receive a dedicated
-    // deterministic stream in case they draw.
-    out.evolution = plan;
-    return out;
+    // Advances `root` exactly as earlier releases did when they derived
+    // a planning stream here, so the shard streams — and the "engine"
+    // checkpoints journaled with them — stay valid.
+    (void)root.split();
+    return {engine_detail::make_streams(root, shards),
+            engine_detail::even_split(repetitions, shards)};
   }
 
-  /// A kEngineBatched checkpoint of `plan` with nothing completed: each
-  /// shard's repetition quota and starting stream state.
-  [[nodiscard]] RunCheckpoint batched_plan_checkpoint(
-      const BatchedPlan& plan, std::uint64_t repetitions) const {
-    RunCheckpoint checkpoint;
-    checkpoint.mode = CheckpointMode::kEngineBatched;
-    checkpoint.total_repetitions = repetitions;
-    checkpoint.shards.resize(plan.streams.size());
-    for (std::size_t i = 0; i < plan.streams.size(); ++i) {
-      checkpoint.shards[i].total = plan.shard_reps[i];
-      checkpoint.shards[i].rng_state = plan.streams[i].state();
+  /// Appends the records of a dictionary's (bitstring, count) pairs to
+  /// `out`, one add_records per measurement key in circuit order.
+  static void add_dictionary_records(const Circuit& circuit,
+                                     const Counts& counts, Result& out) {
+    std::vector<Operation> measurements;
+    for (const Operation& op : circuit.all_operations()) {
+      if (op.gate().is_measurement()) measurements.push_back(op);
     }
-    return checkpoint;
+    for (const auto& [bits, count] : counts) {
+      for (const Operation& op : measurements) {
+        out.add_records(op.gate().measurement_key(),
+                        Simulator<State>::pack_key_bits(bits, op.qubits()),
+                        count);
+      }
+    }
   }
 
-  /// The v2 batched path: evolves ONE state snapshot per gate and
-  /// shares it read-only across every repetition shard, so the state
-  /// evolution is paid once instead of once per shard. Stream-for-
-  /// stream identical to running each shard's dictionary through its
-  /// own evolved copy (the evolution is deterministic and consumes no
-  /// randomness on this path), so results match the v1 engine bit for
-  /// bit. Only called with native hooks — they are pure functions safe
-  /// to probe one shared state concurrently; custom hooks take the
-  /// per-shard fallback in sample()/run_job() instead.
-  BatchedOutcome sample_batched_shared(const Circuit& circuit,
-                                       BatchedPlan& batched_plan) {
-    const std::size_t shards = batched_plan.streams.size();
-    std::vector<Rng>& streams = batched_plan.streams;
-    const std::vector<std::uint64_t>& shard_reps = batched_plan.shard_reps;
-    Rng& evolution = batched_plan.evolution;
-
-    State state = prototype_.initial_state();
-    std::vector<BatchDictionary> dictionaries(shards);
-    std::vector<std::size_t> shard_peak(shards, 0);
-    for (std::size_t i = 0; i < shards; ++i) {
-      if (shard_reps[i] > 0) {
-        dictionaries[i].emplace(Bitstring{0}, shard_reps[i]);
-        shard_peak[i] = 1;
-      }
+  /// The one-dictionary loop as the run's single shard: timed, traced
+  /// (its evolution recorded as an "evolve" span under the shard), and
+  /// its counters adopted as the run's.
+  Counts sample_dictionary(const Circuit& circuit, std::uint64_t repetitions,
+                           Rng& rng) {
+    Simulator<State> local = prototype_;
+    const ShardScope scope(*this, 0);
+    Counts counts = local.sample_parallel(circuit, repetitions, rng);
+    if (scope.span.id() != 0) {
+      obs::Trace* trace = options().trace;
+      trace->record(obs::SpanRecord{
+          obs::Trace::span_id(trace->id(), "evolve", 0), scope.span.id(),
+          "evolve", 0, local.stats_.evolve_ms / 1000.0});
     }
-
-    BatchedOutcome outcome;
-    RunStats& stats = outcome.stats;
-    stats.used_sample_parallelization = true;
-    stats.trajectories = 1;  // one shared evolution serves every shard
-    stats.threads_used = static_cast<std::size_t>(num_threads_);
-    stats.per_stream.resize(shards);
-    stats.max_dictionary_size = 1;
-
-    const SimulatorOptions& options = prototype_.options();
-    // Telemetry: evolve time (the shared-snapshot gate applies) feeds
-    // stats.evolve_ms; per-shard resample time feeds the shard series
-    // and trace spans. Slot-indexed accumulation, so the concurrent
-    // fan-out below writes race-free and the totals are deterministic.
-    using TelemetryClock = std::chrono::steady_clock;
-    double evolve_seconds = 0.0;
-    std::vector<double> resample_seconds(shards, 0.0);
-    for (const auto& op : circuit.all_operations()) {
-      if (op.gate().is_measurement()) continue;
-      // Cooperative stop at gate granularity: one gate (evolution +
-      // resampling fan-out) bounds the cancellation latency.
-      token_.throw_if_stopped();
-      fault::throw_if_fails("shard_run");
-      const auto evolve_start = TelemetryClock::now();
-      prototype_.apply_fn()(op, state, evolution);
-      evolve_seconds +=
-          std::chrono::duration<double>(TelemetryClock::now() - evolve_start)
-              .count();
-      ++stats.state_applications;
-      if (options.skip_diagonal_updates && op.gate().is_diagonal()) {
-        ++stats.diagonal_updates_skipped;
-        continue;
-      }
-      const auto step = [&](std::size_t i) {
-        if (dictionaries[i].empty()) return;
-        const auto step_start = TelemetryClock::now();
-        stats.per_stream[i].probability_evaluations +=
-            prototype_.resample_dictionary(state, op, dictionaries[i],
-                                           streams[i]);
-        shard_peak[i] = std::max(shard_peak[i], dictionaries[i].size());
-        resample_seconds[i] +=
-            std::chrono::duration<double>(TelemetryClock::now() - step_start)
-                .count();
-      };
-      std::size_t total_entries = 0;
-      for (const BatchDictionary& d : dictionaries) total_entries += d.size();
-      if (total_entries < kInlineResampleThreshold) {
-        for (std::size_t i = 0; i < shards; ++i) step(i);
-      } else {
-        execute(shards, step);
-      }
-    }
-
-    stats.evolve_ms = evolve_seconds * 1000.0;
-    for (std::size_t i = 0; i < shards; ++i) {
-      stats.probability_evaluations +=
-          stats.per_stream[i].probability_evaluations;
-      stats.max_dictionary_size =
-          std::max(stats.max_dictionary_size, shard_peak[i]);
-    }
-    if constexpr (obs::kTelemetryCompiled) {
-      // One observation per non-empty shard (the shard's accumulated
-      // resample time) plus an "evolve" span for the shared evolution.
-      for (std::size_t i = 0; i < shards; ++i) {
-        if (shard_reps[i] == 0) continue;
-        engine_detail::observe_shard(resample_seconds[i]);
-        if (trace_ != nullptr && obs::enabled()) {
-          trace_->record(obs::SpanRecord{
-              obs::Trace::span_id(trace_->id(), "shard", i), trace_->root(),
-              "shard", i, resample_seconds[i]});
-        }
-      }
-      if (trace_ != nullptr && obs::enabled()) {
-        trace_->record(obs::SpanRecord{
-            obs::Trace::span_id(trace_->id(), "evolve", 0), trace_->root(),
-            "evolve", 0, evolve_seconds});
-      }
-    }
-    outcome.shard_counts.resize(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-      outcome.shard_counts[i] = {dictionaries[i].begin(),
-                                 dictionaries[i].end()};
-    }
-    return outcome;
+    stats_ = engine_detail::merge_shard_stats({&local.stats_, 1},
+                                              num_threads_);
+    return counts;
   }
 
-  /// Per-shard sharding: one cloned simulator + one stream per shard,
-  /// outputs in shard order. `multinomial` picks the batched-path
-  /// repetition split (Sec. 3.2.3 multinomial, used by the custom-hook
-  /// fallback so it stays shard-for-shard aligned with the shared
-  /// snapshot path); trajectory shards use the even split, with the
-  /// planning stream drawn (and discarded) to keep stream derivation
-  /// aligned across both paths.
-  ///
-  /// When `progress` is enabled (Result outputs only), trajectory
-  /// shards run as sequential chunks of `progress->every` repetitions
-  /// on one stream — identical draws to the single call, since the
-  /// per-trajectory path consumes the stream repetition by repetition —
-  /// reporting each canonical checkpoint to a ProgressCollector;
-  /// multinomial shards report completion only (chunking a dictionary
-  /// run would change its draws). The chunk boundaries double as
-  /// cooperative cancellation points.
-  template <typename Out, typename RunFn>
-  std::pair<std::vector<Out>, RunStats> run_sharded(
-      const Circuit& circuit, std::uint64_t repetitions, Rng& rng,
-      bool multinomial, RunFn body,
-      const ProgressOptions* progress = nullptr) {
-    const std::size_t shards = shard_count(repetitions);
-    Rng root = rng.split();
-    Rng plan = root.split();
-    const std::vector<Rng> streams = engine_detail::make_streams(root, shards);
-    const std::vector<std::uint64_t> shard_reps =
-        multinomial ? engine_detail::multinomial_split(repetitions, shards, plan)
-                    : engine_detail::even_split(repetitions, shards);
-
-    // Checkpoint/resume apply to Result runs only (sample() has no
-    // measurement keys to snapshot). A resumed run re-derives the plan
-    // from the same seed, validates it against the checkpoint, and
-    // overrides each shard's starting point with the checkpointed
-    // (cursor, stream state, prefix histograms).
-    const RunCheckpoint* resume = nullptr;
-    std::shared_ptr<CheckpointCollector> ckpt;
-    if constexpr (std::is_same_v<Out, Result>) {
-      resume = resume_.get();
-      const CheckpointMode mode = multinomial ? CheckpointMode::kEngineBatched
-                                              : CheckpointMode::kEngine;
-      if (resume != nullptr) {
-        validate_resume(*resume, mode, repetitions, shards);
-        for (std::size_t i = 0; i < shards; ++i) {
-          const ShardCheckpoint& shard = resume->shards[i];
-          BGLS_REQUIRE(shard.total == shard_reps[i],
-                       "checkpoint shard sizes do not match this request's "
-                       "decomposition; resume with the original seed and "
-                       "num_rng_streams");
-          // Dictionary-batched shards are atomic: nothing in between.
-          BGLS_REQUIRE(!multinomial || shard.completed == 0 ||
-                           shard.completed == shard.total,
-                       "batched checkpoint has a partially complete shard");
-        }
-      }
-      if (checkpoint_.enabled()) {
-        RunCheckpoint base;
-        if (resume != nullptr) {
-          base = *resume;
-        } else {
-          base.mode = mode;
-          base.total_repetitions = repetitions;
-          base.shards.resize(shards);
-          for (std::size_t i = 0; i < shards; ++i) {
-            base.shards[i].total = shard_reps[i];
-            base.shards[i].rng_state = streams[i].state();
-          }
-        }
-        ckpt = std::make_shared<CheckpointCollector>(checkpoint_,
-                                                     std::move(base));
-        // Durable initial checkpoint of a fresh run: the decomposition
-        // plus each shard's starting stream.
-        if (resume == nullptr) ckpt->emit();
-      }
-    }
-
-    std::unique_ptr<ProgressCollector> collector;
-    if (progress != nullptr && progress->enabled() && resume == nullptr) {
-      collector = std::make_unique<ProgressCollector>(
-          *progress, shard_reps, /*chunked=*/!multinomial);
-    }
-
-    std::vector<Out> outputs(shards);
-    std::vector<RunStats> shard_stats(shards);
-    execute(shards, [&](std::size_t i) {
-      const ShardCheckpoint* base_shard =
-          resume != nullptr ? &resume->shards[i] : nullptr;
-      const std::uint64_t base_done =
-          base_shard != nullptr ? base_shard->completed : 0;
-      if (shard_reps[i] == 0) {
-        // Nothing to sample, but the canonical update sequence still
-        // needs the shard's (empty) checkpoint.
-        if (collector) collector->report(i, 0, {});
+  /// The dictionary-batched run: one dictionary drawn from the caller's
+  /// stream. It completes every repetition together at the final gate,
+  /// so it is one atomic shard — checkpoints exist only at its start
+  /// (the entry stream state) and at completion — and streaming
+  /// degenerates to the one final update.
+  void run_dictionary(const Circuit& circuit, std::uint64_t repetitions,
+                      Rng& rng, Result& result) {
+    const RunCheckpoint* resume = options().resume.get();
+    Rng resumed;
+    Rng* stream = &rng;
+    if (resume != nullptr) {
+      validate_resume(*resume, CheckpointMode::kDictionary, repetitions, 1);
+      const ShardCheckpoint& shard = resume->shards.front();
+      if (shard.completed == repetitions && repetitions > 0) {
+        // Already finished: rebuild the result and counters from the
+        // checkpoint without sampling.
+        restore_result_histograms(result, shard.histograms);
+        RunStats restored;
+        restored.used_sample_parallelization = true;
+        apply_checkpoint_stats(restored, resume->stats);
+        stats_ = engine_detail::merge_shard_stats({&restored, 1},
+                                                  num_threads_);
+        emit_final_progress(result, repetitions);
         return;
       }
-      if constexpr (std::is_same_v<Out, Result>) {
-        if (base_done > 0) {
-          // Pre-seed the shard output with the checkpointed prefix.
-          declare_measurement_keys(circuit, outputs[i]);
-          restore_result_histograms(outputs[i], base_shard->histograms);
-          if (base_done == shard_reps[i]) return;  // shard already done
+      resumed = Rng::from_state(shard.rng_state);
+      stream = &resumed;
+    }
+    const std::array<std::uint64_t, 4> entry = stream->state();
+    const bool checkpointing = options().checkpoint.enabled();
+    if (checkpointing && resume == nullptr) {
+      emit_dictionary_checkpoint(repetitions, 0, entry, {}, RunStats{});
+    }
+    add_dictionary_records(
+        circuit, sample_dictionary(circuit, repetitions, *stream), result);
+    if (checkpointing) {
+      emit_dictionary_checkpoint(repetitions, repetitions, entry,
+                                 key_histograms(result), stats_);
+    }
+    emit_final_progress(result, repetitions);
+  }
+
+  /// Emits a single-shard kDictionary checkpoint.
+  void emit_dictionary_checkpoint(
+      std::uint64_t repetitions, std::uint64_t done,
+      const std::array<std::uint64_t, 4>& rng_state,
+      std::map<std::string, Counts> histograms, const RunStats& stats) const {
+    RunCheckpoint checkpoint;
+    checkpoint.mode = CheckpointMode::kDictionary;
+    checkpoint.total_repetitions = repetitions;
+    ShardCheckpoint& shard = checkpoint.shards.emplace_back();
+    shard.total = repetitions;
+    shard.completed = done;
+    shard.rng_state = rng_state;
+    shard.histograms = std::move(histograms);
+    checkpoint.stats = checkpoint_stats_from(stats);
+    options().checkpoint.sink(checkpoint);
+  }
+
+  /// The trajectory run: even split across the plan's streams, records
+  /// merged in shard order. Progress updates and checkpoints fire every
+  /// `every` repetitions within a shard plus at shard completion, in
+  /// canonical shard order (core/progress.h). A resumed run re-derives
+  /// the plan from the same seed, validates it against the checkpoint,
+  /// and continues each shard from its checkpointed (cursor, stream
+  /// state, prefix histograms).
+  void run_trajectories(const Circuit& circuit, std::uint64_t repetitions,
+                        Rng& rng, Result& result) {
+    const SimulatorOptions& opts = options();
+    const TrajectoryPlan plan = plan_trajectories(repetitions, rng);
+    const std::size_t shards = plan.shard_reps.size();
+    const RunCheckpoint* resume = opts.resume.get();
+    if (resume != nullptr) {
+      validate_resume(*resume, CheckpointMode::kEngine, repetitions, shards);
+      for (std::size_t i = 0; i < shards; ++i) {
+        BGLS_REQUIRE(resume->shards[i].total == plan.shard_reps[i],
+                     "checkpoint shard sizes do not match this request's "
+                     "decomposition; resume with the original seed and "
+                     "num_rng_streams");
+      }
+    }
+    std::unique_ptr<CheckpointCollector> checkpoints;
+    if (opts.checkpoint.enabled()) {
+      RunCheckpoint base;
+      if (resume != nullptr) {
+        base = *resume;
+      } else {
+        base.mode = CheckpointMode::kEngine;
+        base.total_repetitions = repetitions;
+        base.shards.resize(shards);
+        for (std::size_t i = 0; i < shards; ++i) {
+          base.shards[i].total = plan.shard_reps[i];
+          base.shards[i].rng_state = plan.streams[i].state();
         }
       }
-      token_.throw_if_stopped();
-      const engine_detail::ShardTimer timer;
-      obs::TraceSpan span(trace_, "shard", i, obs::TraceSpan::Nest::kRoot);
+      checkpoints =
+          std::make_unique<CheckpointCollector>(opts.checkpoint, base);
+      // Durable initial checkpoint of a fresh run: the decomposition
+      // plus each shard's starting stream.
+      if (resume == nullptr) checkpoints->emit();
+    }
+    // A resumed run suppresses intermediate progress updates (the
+    // pre-interruption prefix already streamed them) and emits only the
+    // final one.
+    std::unique_ptr<ProgressCollector> progress;
+    if (opts.progress.enabled() && resume == nullptr) {
+      progress = std::make_unique<ProgressCollector>(
+          opts.progress, plan.shard_reps);
+    }
+
+    std::vector<Result> outputs(shards);
+    std::vector<RunStats> shard_stats(shards);
+    execute(shards, [&](std::size_t i) {
+      const std::uint64_t total = plan.shard_reps[i];
+      if (total == 0) {
+        // Nothing to sample, but the canonical update sequence still
+        // needs the shard's (empty) checkpoint.
+        if (progress) progress->report(i, 0, {});
+        return;
+      }
+      Result& out = outputs[i];
+      declare_measurement_keys(circuit, out);
+      std::map<std::string, Counts> cumulative;
+      std::uint64_t done = 0;
+      Rng stream = plan.streams[i];
+      if (resume != nullptr) {
+        const ShardCheckpoint& base = resume->shards[i];
+        done = base.completed;
+        cumulative = base.histograms;
+        restore_result_histograms(out, cumulative);
+        stream = Rng::from_state(base.rng_state);
+      }
+      if (done == total) return;
+      opts.cancel_token.throw_if_stopped();
       Simulator<State> local = prototype_;
-      Rng stream = base_shard != nullptr
-                       ? Rng::from_state(base_shard->rng_state)
-                       : streams[i];
-      if constexpr (std::is_same_v<Out, Result>) {
-        if ((collector || ckpt) && !multinomial) {
-          run_chunked_shard(local, circuit, shard_reps[i], stream, i,
-                            collector.get(), ckpt.get(), base_shard,
-                            outputs[i], shard_stats[i]);
-          return;
+      const ShardScope scope(*this, i);
+      while (done < total) {
+        // Deterministic mid-run abort hook for crash-safety tests
+        // (util/fault.h); inert unless armed.
+        fault::throw_if_fails("shard_run");
+        local.run_one_trajectory(circuit, stream, &out);
+        ++done;
+        if (!progress && !checkpoints) continue;
+        for (const std::string& key : out.keys()) {
+          ++cumulative[key][out.values(key).back()];
         }
-        if (base_done > 0) {
-          // Resumed trajectory shard without chunking: run only the
-          // remaining repetitions on the restored stream and append
-          // them to the restored prefix.
-          outputs[i].append(
-              body(local, circuit, shard_reps[i] - base_done, stream));
-          shard_stats[i] = local.last_run_stats();
-          return;
+        if (progress && (done % opts.progress.every == 0 || done == total)) {
+          progress->report(i, done, cumulative);
         }
-      }
-      outputs[i] = body(local, circuit, shard_reps[i], stream);
-      shard_stats[i] = local.last_run_stats();
-      if constexpr (std::is_same_v<Out, Result>) {
-        if (collector) {
-          collector->report(i, shard_reps[i], key_histograms(outputs[i]));
-        }
-        if (ckpt) {
-          ckpt->record(i, shard_reps[i], stream.state(),
-                       key_histograms(outputs[i]),
-                       checkpoint_stats_from(shard_stats[i]));
+        if (checkpoints &&
+            (done % opts.checkpoint.every == 0 || done == total)) {
+          checkpoints->record(i, done, stream.state(), cumulative,
+                              checkpoint_stats_from(local.stats_));
         }
       }
+      shard_stats[i] = local.stats_;
     });
-    RunStats merged =
-        engine_detail::merge_shard_stats(shard_stats, num_threads_);
-    if constexpr (std::is_same_v<Out, Result>) {
+    for (const Result& shard : outputs) result.append(shard);
+    stats_ = engine_detail::merge_shard_stats(shard_stats, num_threads_);
+    if (resume != nullptr) {
       // The merged counters cover this run's work; fold in the resumed
       // prefix so the totals match the uninterrupted run exactly.
-      if (resume != nullptr) apply_checkpoint_stats(merged, resume->stats);
-    }
-    return {std::move(outputs), merged};
-  }
-
-  /// The next multiple of `every` after `done`, capped at `total` (the
-  /// chunk loop below walks the union of the progress and checkpoint
-  /// schedules, and a resumed cursor need not sit on a multiple).
-  [[nodiscard]] static std::uint64_t next_multiple(std::uint64_t done,
-                                                   std::uint64_t every,
-                                                   std::uint64_t total) {
-    const std::uint64_t next = done + (every - done % every);
-    return next < total ? next : total;
-  }
-
-  /// One trajectory shard as sequential boundary-sized chunks on its
-  /// stream (see run_sharded): draws are identical to a single
-  /// Simulator::run of the full shard — the per-trajectory path
-  /// consumes the stream repetition by repetition — the per-chunk
-  /// results append into the same shard output, and each canonical
-  /// boundary reports to its collector (progress and checkpoint
-  /// cadences are independent; a boundary serving only one schedule
-  /// reports only there). `base` seeds a resumed shard's cursor,
-  /// prefix histograms, and restored stream; `out` then already holds
-  /// the restored prefix records.
-  void run_chunked_shard(Simulator<State>& local, const Circuit& circuit,
-                         std::uint64_t reps, Rng& stream, std::size_t shard,
-                         ProgressCollector* collector,
-                         CheckpointCollector* ckpt,
-                         const ShardCheckpoint* base, Result& out,
-                         RunStats& stats) {
-    std::map<std::string, Counts> cumulative;
-    std::uint64_t done = 0;
-    if (base != nullptr) {
-      done = base->completed;
-      cumulative = base->histograms;
-    }
-    while (done < reps) {
-      token_.throw_if_stopped();
-      std::uint64_t next = reps;
-      if (collector != nullptr) {
-        next = std::min(next, next_multiple(done, progress_.every, reps));
-      }
-      if (ckpt != nullptr) {
-        next = std::min(next, next_multiple(done, checkpoint_.every, reps));
-      }
-      const Result chunk = local.run(circuit, next - done, stream);
-      engine_detail::accumulate_result_histograms(cumulative, chunk);
-      out.append(chunk);
-      engine_detail::accumulate_stats(stats, local.last_run_stats());
-      done = next;
-      if (collector != nullptr &&
-          (done % progress_.every == 0 || done == reps)) {
-        collector->report(shard, done, cumulative);
-      }
-      if (ckpt != nullptr &&
-          (done % checkpoint_.every == 0 || done == reps)) {
-        ckpt->record(shard, done, stream.state(), cumulative,
-                     checkpoint_stats_from(stats));
-      }
+      apply_checkpoint_stats(stats_, resume->stats);
+      emit_final_progress(result, repetitions);
     }
   }
 
-  /// Returns the engine context, acquiring it on first use (the shared
-  /// process-wide one under reuse_thread_pool, a private one
-  /// otherwise). Thread-safe: submit()/run_async() may race here.
-  std::shared_ptr<EngineContext> ensure_context() {
-    const std::lock_guard<std::mutex> lock(context_mutex_);
-    if (!context_) {
-      context_ = reuse_pool_ ? EngineContext::shared(num_threads_)
-                             : std::make_shared<EngineContext>(num_threads_);
-    }
-    return context_;
-  }
-
-  /// Context for asynchronous jobs: always the persistent process-wide
-  /// pool, even when reuse_thread_pool is off. A private pool could be
-  /// torn down by its own worker (the job may hold the last reference
-  /// once the submitting engine dies), which would make a thread join
-  /// itself; the shared cache's pools are immortal, so the hazard
-  /// cannot arise.
-  std::shared_ptr<EngineContext> async_context() {
-    if (reuse_pool_) return ensure_context();
-    return EngineContext::shared(num_threads_);
-  }
-
-  /// Shared body of submit()/run_async(): schedules `body` as a pool
-  /// job running through its own worker engine (sharing this engine's
-  /// pool, so in-flight jobs never contend on engine state) and returns
-  /// the future. Exceptions from `body` — including from any shard —
-  /// surface from future::get() via the packaged_task.
-  template <typename Out, typename Body>
-  [[nodiscard]] std::future<Out> dispatch_async(Circuit circuit,
-                                                std::uint64_t repetitions,
-                                                std::uint64_t seed,
-                                                Body body) {
-    std::shared_ptr<EngineContext> context = async_context();
-    auto task = std::make_shared<std::packaged_task<Out()>>(
-        [context, prototype = prototype_, circuit = std::move(circuit),
-         repetitions, seed, body]() {
-          BatchEngine<State> worker(prototype, context);
-          Rng rng(seed);
-          return body(worker, circuit, repetitions, rng);
-        });
-    std::future<Out> future = task->get_future();
-    context->pool().submit([task] { (*task)(); });
-    return future;
+  /// Emits the final ProgressUpdate carrying the run's complete
+  /// histograms, when streaming is on.
+  void emit_final_progress(const Result& result,
+                           std::uint64_t repetitions) const {
+    const ProgressOptions& progress = options().progress;
+    if (!progress.enabled()) return;
+    ProgressUpdate update;
+    update.completed_repetitions = repetitions;
+    update.total_repetitions = repetitions;
+    update.final = true;
+    update.histograms = key_histograms(result);
+    progress.sink(update);
   }
 
   /// Runs job(0..count-1), on the pool when more than one thread is
@@ -1002,29 +557,14 @@ class BatchEngine {
       for (std::size_t i = 0; i < count; ++i) job(i);
       return;
     }
-    ensure_context()->pool().parallel_for(count, job);
+    if (!context_) context_ = EngineContext::shared(num_threads_);
+    context_->pool().parallel_for(count, job);
   }
 
   Simulator<State> prototype_;
-  mutable std::mutex context_mutex_;
   std::shared_ptr<EngineContext> context_;
   int num_threads_ = 1;
   std::uint64_t num_streams_ = 1;
-  bool reuse_pool_ = true;
-  bool two_level_ = true;
-  /// Cooperative stop handle from the prototype options, polled in the
-  /// shard loops (the per-shard simulators poll it per gate too).
-  CancellationToken token_;
-  /// Streaming knobs lifted off the prototype options (the engine is
-  /// the sole emitter; see the constructor).
-  ProgressOptions progress_;
-  /// Telemetry trace lifted off the prototype options (may be null);
-  /// the engine records shard/evolve spans into it.
-  obs::Trace* trace_ = nullptr;
-  /// Checkpoint capture knobs and the checkpoint a run() resumes from,
-  /// lifted off the prototype options (see core/checkpoint.h).
-  CheckpointOptions checkpoint_;
-  std::shared_ptr<const RunCheckpoint> resume_;
   RunStats stats_;
 };
 

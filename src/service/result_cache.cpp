@@ -144,12 +144,11 @@ std::optional<std::string> ResultCache::key_for(const RunRequest& request) {
   append_u64(key, static_cast<std::uint64_t>(request.backend));
   append_str(key, request.backend_name);
   // Knobs that do (or conservatively may) shape the sampled records.
-  // Thread count is deliberately excluded: reports are pinned
-  // byte-identical across thread counts.
+  // Thread count is deliberately excluded: reports are byte-identical
+  // across thread counts, including 1.
   append_u64(key, (request.optimize_circuit ? 1u : 0u) |
                       (request.disable_sample_parallelization ? 2u : 0u) |
-                      (request.skip_diagonal_updates ? 4u : 0u) |
-                      (request.two_level_batch_sharding ? 8u : 0u));
+                      (request.skip_diagonal_updates ? 4u : 0u));
   append_u64(key, request.mps_options.max_bond_dim);
   append_f64(key, request.mps_options.cutoff);
 

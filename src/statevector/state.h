@@ -17,9 +17,7 @@
 ///
 /// All const accessors (amplitude, probability, amplitudes, ...) are
 /// pure reads and safe to call concurrently from many threads while no
-/// mutator runs — the batch engine's snapshot-sharing path relies on
-/// this, probing one shared evolved state from every repetition shard
-/// at once.
+/// mutator runs.
 
 #pragma once
 

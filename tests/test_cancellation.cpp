@@ -134,7 +134,7 @@ TEST(EngineCancellation, CancelledRunNeverCorruptsLaterRunsOnSamePool) {
 TEST(EngineCancellation, CancelAtEveryEarlyGateIsClean) {
   // Cancellation at *any* point must be safe, not just at one lucky
   // timing: pre-cancelled tokens exercise the earliest checks, and the
-  // mid-run cases above the later ones. Sweep serial + engine paths.
+  // mid-run cases above the later ones. Sweep inline + pooled runs.
   const Circuit circuit = batched_workload(4, 11, 10, 0.8);
   for (const int threads : {1, 4}) {
     SimulatorOptions options;

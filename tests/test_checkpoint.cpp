@@ -2,8 +2,8 @@
 /// Checkpoint/resume (core/checkpoint.h): the crash-safety invariant —
 /// resuming from a checkpoint captured at ANY boundary and finishing
 /// produces a final histogram and byte-stable report counters identical
-/// to the uninterrupted run — pinned across the serial, engine
-/// (threads {2, 8}, cross-thread-count), and dictionary-batched paths,
+/// to the uninterrupted run — pinned for the trajectory decomposition
+/// (threads {1, 2, 8}, cross-thread-count) and the one-dictionary path,
 /// through the runtime Session on all four builtin backends, plus the
 /// JSON round trip and shape-mismatch rejection.
 
@@ -116,7 +116,7 @@ TEST(Checkpoint, EngineTrajectoryResumeAtEveryBoundaryEightThreads) {
 }
 
 TEST(Checkpoint, SerialBatchedResumeShardAtomic) {
-  // The dictionary-batched paths complete a shard atomically:
+  // The dictionary-batched path completes its one shard atomically:
   // checkpoints are initial (0 completed) or final snapshots, and both
   // must resume to the identical run.
   Session session;
@@ -127,6 +127,8 @@ TEST(Checkpoint, SerialBatchedResumeShardAtomic) {
   const RunResult baseline = session.run(std::move(instrumented));
   ASSERT_GE(checkpoints.all().size(), 1u);
   for (const RunCheckpoint& checkpoint : checkpoints.all()) {
+    EXPECT_EQ(checkpoint.mode, CheckpointMode::kDictionary);
+    ASSERT_EQ(checkpoint.shards.size(), 1u);
     for (const ShardCheckpoint& shard : checkpoint.shards) {
       EXPECT_TRUE(shard.completed == 0 || shard.completed == shard.total);
     }
@@ -141,7 +143,7 @@ TEST(Checkpoint, EngineBatchedResumeAtEveryBoundary) {
 
 TEST(Checkpoint, EngineResumeOnDifferentThreadCount) {
   // Checkpoints record per-shard stream state, not threads: a snapshot
-  // produced on 2 threads resumes on 8 (and vice versa) bit-identical.
+  // produced on 2 threads resumes on 1 or 8 bit-identical.
   Session session;
   const RunResult baseline = session.run(trajectory_request(2));
 
@@ -160,11 +162,14 @@ TEST(Checkpoint, EngineResumeOnDifferentThreadCount) {
   const RunResult on2 =
       session.run(trajectory_request(2).with_resume(middle));
   expect_same_run(on2, baseline, "resume 2->2 threads");
+  const RunResult on1 =
+      session.run(trajectory_request(1).with_resume(middle));
+  expect_same_run(on1, baseline, "resume 2->1 thread");
 }
 
 TEST(Checkpoint, SessionResumesOnEveryBuiltinBackend) {
-  // Pure-Clifford GHZ so the stabilizer backend qualifies; per-
-  // trajectory serial path on every backend via no-batch.
+  // Pure-Clifford GHZ so the stabilizer backend qualifies; the
+  // trajectory decomposition on every backend via no-batch.
   const Circuit circuit = with_terminal_measurement(ghz_circuit(3), 3);
   for (const BackendId backend :
        {BackendId::kStateVector, BackendId::kDensityMatrix,
@@ -231,10 +236,12 @@ TEST(Checkpoint, MismatchedResumeIsRejected) {
                                      .with_repetitions(121)
                                      .with_resume(checkpoint)),
                ValueError);
-  // Wrong path: a serial checkpoint cannot resume an engine run.
-  EXPECT_THROW(
-      (void)session.run(trajectory_request(2).with_resume(checkpoint)),
-      ValueError);
+  // Wrong decomposition: a trajectory checkpoint cannot resume a
+  // dictionary-batched run.
+  EXPECT_THROW((void)session.run(batched_request(1)
+                                     .with_repetitions(120)
+                                     .with_resume(checkpoint)),
+               ValueError);
 }
 
 }  // namespace

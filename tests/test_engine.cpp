@@ -134,8 +134,9 @@ TEST(BatchEngine, BatchedHistogramMatchesIdealDistribution) {
 }
 
 TEST(BatchEngine, TrajectoryHistogramMatchesSerialDistribution) {
-  // The sharded trajectory run samples the same distribution as the
-  // classic serial path (different streams, same statistics).
+  // A 4-thread trajectory run samples the same distribution as a
+  // 1-thread run under another seed (different streams, same
+  // statistics).
   const int n = 3;
   const Circuit circuit = trajectory_workload(n);
   const std::uint64_t reps = 20000;
@@ -233,24 +234,28 @@ TEST(Simulator, DelegatesMultiRepRunsToEngine) {
 }
 
 TEST(Simulator, SingleRepetitionStaysOnSerialPath) {
+  // One repetition is one shard on either decomposition, so even a
+  // 4-thread simulator runs it serially on the caller.
   const int n = 2;
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(n), n, "m");
-  Simulator<StateVectorState> sim = make_simulator(n, 4);
-  Rng rng(kSeed);
-  sim.run(circuit, 1, rng);
-  EXPECT_EQ(sim.last_run_stats().threads_used, 1u);
-  EXPECT_TRUE(sim.last_run_stats().per_stream.empty());
+  for (const Circuit& circuit :
+       {with_terminal_measurement(ghz_circuit(n), n, "m"),
+        trajectory_workload(n)}) {
+    Simulator<StateVectorState> sim = make_simulator(n, 4);
+    Rng rng(kSeed);
+    EXPECT_EQ(sim.run(circuit, 1, rng).repetitions(), 1u);
+    ASSERT_EQ(sim.last_run_stats().per_stream.size(), 1u);
+    EXPECT_EQ(sim.last_run_stats().per_stream[0].trajectories, 1u);
+  }
 }
 
 TEST(Simulator, EngineResultsIdenticalAcrossThreadCountsViaOptions) {
   // The SimulatorOptions::num_threads plumbing preserves the engine's
-  // determinism guarantee for any thread count > 1 (and 0 = auto).
+  // determinism guarantee for any thread count (and 0 = auto).
   const int n = 4;
   const Circuit circuit = batched_workload(n);
   Counts reference;
   bool first = true;
-  for (const int threads : {2, 3, 8, 0}) {
+  for (const int threads : {1, 2, 3, 8, 0}) {
     Simulator<StateVectorState> sim = make_simulator(n, threads);
     Rng rng(kSeed);
     const Counts histogram = sim.run(circuit, 2000, rng).histogram("m");

@@ -1,18 +1,20 @@
-// Tests for the engine's asynchronous job API: futures resolve with the
-// merged Result and the job's own RunStats, concurrent submission from
-// many threads is race-free, shard exceptions propagate through the
-// future (not std::terminate), and the pool behind it all is genuinely
-// shared and long-lived.
+// Tests for the library's one asynchronous entry point,
+// Session::run_async, over the batch engine: futures resolve with the
+// synchronous result and its RunStats, concurrent submission from many
+// threads is race-free and deterministic, shard exceptions propagate
+// through the future (not std::terminate), a job outlives the session
+// that submitted it, and the pool behind it all is genuinely shared and
+// long-lived.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "api/session.h"
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
 #include "circuit/random.h"
@@ -22,6 +24,7 @@
 #include "engine_test_helpers.h"
 #include "statevector/state.h"
 #include "util/error.h"
+#include "util/fault.h"
 
 namespace bgls {
 namespace {
@@ -44,105 +47,79 @@ Simulator<StateVectorState> make_simulator(int n, int num_threads,
   return testing::make_sv_simulator(n, num_threads, num_streams);
 }
 
+RunRequest sv_request(Circuit circuit, std::uint64_t reps, std::uint64_t seed,
+                      int threads) {
+  return RunRequest()
+      .with_circuit(std::move(circuit))
+      .with_repetitions(reps)
+      .with_seed(seed)
+      .with_threads(threads)
+      .with_rng_streams(8)
+      .with_backend(BackendId::kStateVector);
+}
+
 TEST(BatchEngineAsync, SubmitResolvesWithSyncResultAndPerStreamStats) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  const std::uint64_t reps = 120;
+  const RunRequest request = sv_request(trajectory_workload(3), 120, kSeed, 2);
+  Session session;
+  const RunResult sync = session.run(request);
+  const RunResult async = session.run_async(request).get();
 
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  const Result sync = engine.run(circuit, reps, kSeed);
-  const RunStats sync_stats = engine.last_run_stats();
-
-  auto future = engine.submit(circuit, reps, kSeed);
-  const auto outcome = future.get();
-
-  EXPECT_EQ(outcome.result.histogram("m"), sync.histogram("m"));
-  EXPECT_EQ(outcome.result.values("m"), sync.values("m"));
-  ASSERT_EQ(outcome.stats.per_stream.size(), sync_stats.per_stream.size());
+  EXPECT_EQ(async.measurements.histogram("m"),
+            sync.measurements.histogram("m"));
+  EXPECT_EQ(async.measurements.values("m"), sync.measurements.values("m"));
+  ASSERT_EQ(async.stats.per_stream.size(), sync.stats.per_stream.size());
   std::size_t trajectories = 0;
-  for (std::size_t i = 0; i < outcome.stats.per_stream.size(); ++i) {
-    const StreamStats& async_shard = outcome.stats.per_stream[i];
-    const StreamStats& sync_shard = sync_stats.per_stream[i];
+  for (std::size_t i = 0; i < async.stats.per_stream.size(); ++i) {
+    const StreamStats& async_shard = async.stats.per_stream[i];
+    const StreamStats& sync_shard = sync.stats.per_stream[i];
     EXPECT_EQ(async_shard.trajectories, sync_shard.trajectories);
     EXPECT_EQ(async_shard.state_applications, sync_shard.state_applications);
     EXPECT_EQ(async_shard.probability_evaluations,
               sync_shard.probability_evaluations);
     trajectories += async_shard.trajectories;
   }
-  EXPECT_EQ(trajectories, reps);
-  EXPECT_EQ(outcome.stats.trajectories, sync_stats.trajectories);
-  EXPECT_EQ(outcome.stats.state_applications, sync_stats.state_applications);
+  EXPECT_EQ(trajectories, 120u);
+  EXPECT_EQ(async.stats.trajectories, sync.stats.trajectories);
+  EXPECT_EQ(async.stats.state_applications, sync.stats.state_applications);
 }
 
 TEST(BatchEngineAsync, BatchedPathPerStreamCarriesProbabilityEvaluations) {
-  const int n = 4;
-  const Circuit circuit = batched_workload(n);
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  auto outcome = engine.submit(circuit, 5000, kSeed).get();
-  ASSERT_FALSE(outcome.stats.per_stream.empty());
+  Session session;
+  const RunResult outcome =
+      session.run_async(sv_request(batched_workload(4), 5000, kSeed, 2)).get();
   EXPECT_TRUE(outcome.stats.used_sample_parallelization);
-  // One shared snapshot evolution serves every shard.
+  // One dictionary, one evolution, one stream at every thread count.
   EXPECT_EQ(outcome.stats.trajectories, 1u);
-  std::size_t evaluations = 0;
-  for (const StreamStats& shard : outcome.stats.per_stream) {
-    evaluations += shard.probability_evaluations;
-  }
-  EXPECT_EQ(evaluations, outcome.stats.probability_evaluations);
-  EXPECT_GT(evaluations, 0u);
+  ASSERT_EQ(outcome.stats.per_stream.size(), 1u);
+  EXPECT_EQ(outcome.stats.per_stream[0].probability_evaluations,
+            outcome.stats.probability_evaluations);
+  EXPECT_GT(outcome.stats.probability_evaluations, 0u);
 }
 
 TEST(BatchEngineAsync, RunAsyncMatchesSyncRun) {
-  const int n = 4;
-  const Circuit circuit = batched_workload(n);
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  const Result sync = engine.run(circuit, 3000, kSeed);
-  auto future = engine.run_async(circuit, 3000, kSeed);
-  EXPECT_EQ(future.get().histogram("m"), sync.histogram("m"));
-}
-
-TEST(BatchEngineAsync, SimulatorRunAsyncMatchesRun) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  Simulator<StateVectorState> sim = make_simulator(n, 2);
-  const Counts sync = sim.run(circuit, 200, kSeed).histogram("m");
-  auto future = sim.run_async(circuit, 200, kSeed);
-  EXPECT_EQ(future.get().histogram("m"), sync);
-}
-
-TEST(BatchEngineAsync, SimulatorRunAsyncMatchesRunOnSerialPaths) {
-  // run() stays serial when num_threads == 1 or repetitions <= 1;
-  // run_async must reproduce those paths bit for bit too, not silently
-  // reroute through the engine's different stream layout.
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  for (std::uint64_t seed = kSeed; seed < kSeed + 5; ++seed) {
-    Simulator<StateVectorState> serial = make_simulator(n, 1);
-    EXPECT_EQ(serial.run_async(circuit, 200, seed).get().histogram("m"),
-              serial.run(circuit, 200, seed).histogram("m"));
-
-    Simulator<StateVectorState> single_rep = make_simulator(n, 4);
-    EXPECT_EQ(single_rep.run_async(circuit, 1, seed).get().histogram("m"),
-              single_rep.run(circuit, 1, seed).histogram("m"));
-  }
+  const RunRequest request = sv_request(batched_workload(4), 3000, kSeed, 2);
+  Session session;
+  std::future<RunResult> future = session.run_async(request);
+  EXPECT_EQ(future.get().measurements.histogram("m"),
+            session.run(request).measurements.histogram("m"));
 }
 
 TEST(BatchEngineAsync, ManyJobsFromManyThreadsAreRaceFreeAndDeterministic) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
+  const Circuit circuit = trajectory_workload(3);
   const std::uint64_t reps = 60;
   constexpr int kThreads = 4;
   constexpr int kJobsPerThread = 6;
 
-  // Reference histograms computed serially, one per distinct seed.
-  BatchEngine<StateVectorState> reference_engine{make_simulator(n, 2)};
+  // Reference histograms computed synchronously, one per distinct seed.
+  Session session;
   std::vector<Counts> reference;
   for (int j = 0; j < kThreads * kJobsPerThread; ++j) {
     reference.push_back(
-        reference_engine.run(circuit, reps, kSeed + j).histogram("m"));
+        session.run(sv_request(circuit, reps, kSeed + j, 2))
+            .measurements.histogram("m"));
   }
 
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  std::vector<std::future<BatchEngine<StateVectorState>::JobOutcome>> futures(
+  std::vector<std::future<RunResult>> futures(
       static_cast<std::size_t>(kThreads * kJobsPerThread));
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
@@ -150,58 +127,51 @@ TEST(BatchEngineAsync, ManyJobsFromManyThreadsAreRaceFreeAndDeterministic) {
       for (int j = 0; j < kJobsPerThread; ++j) {
         const int job = t * kJobsPerThread + j;
         futures[static_cast<std::size_t>(job)] =
-            engine.submit(circuit, reps, kSeed + job);
+            session.run_async(sv_request(circuit, reps, kSeed + job, 2));
       }
     });
   }
   for (std::thread& submitter : submitters) submitter.join();
   for (int job = 0; job < kThreads * kJobsPerThread; ++job) {
-    const auto outcome = futures[static_cast<std::size_t>(job)].get();
-    EXPECT_EQ(outcome.result.histogram("m"),
+    EXPECT_EQ(futures[static_cast<std::size_t>(job)]
+                  .get()
+                  .measurements.histogram("m"),
               reference[static_cast<std::size_t>(job)])
-        << "job " << job << " diverged from its serial reference";
+        << "job " << job << " diverged from its synchronous reference";
   }
 }
 
 TEST(BatchEngineAsync, AsyncWorksOnSingleThreadEngine) {
-  const int n = 2;
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(n), n, "m");
-  BatchEngine<StateVectorState> engine{make_simulator(n, 1)};
-  const Counts sync = engine.run(circuit, 300, kSeed).histogram("m");
-  EXPECT_EQ(engine.submit(circuit, 300, kSeed).get().result.histogram("m"),
-            sync);
+  const RunRequest request = sv_request(
+      with_terminal_measurement(ghz_circuit(2), 2, "m"), 300, kSeed, 1);
+  Session session;
+  EXPECT_EQ(session.run_async(request).get().measurements.histogram("m"),
+            session.run(request).measurements.histogram("m"));
 }
 
 TEST(BatchEngineAsync, JobOutlivesTheEngineThatSubmittedIt) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
+  const RunRequest request = sv_request(trajectory_workload(3), 150, kSeed, 2);
   Counts sync;
-  std::future<Result> future;
+  std::future<RunResult> future;
   {
-    BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-    sync = engine.run(circuit, 150, kSeed).histogram("m");
-    future = engine.run_async(circuit, 150, kSeed);
-    // The engine dies here; the job holds the context (pool) alive.
+    Session session;
+    sync = session.run(request).measurements.histogram("m");
+    future = session.run_async(request);
+    // The session dies here; the job holds its backend and the shared
+    // pool alive.
   }
-  EXPECT_EQ(future.get().histogram("m"), sync);
+  EXPECT_EQ(future.get().measurements.histogram("m"), sync);
 }
 
-// A simulator whose apply hook always throws: every shard fails.
-Simulator<StateVectorState> throwing_simulator(int n, int num_threads) {
-  SimulatorOptions options;
-  options.num_threads = num_threads;
-  options.num_rng_streams = 4;
-  return Simulator<StateVectorState>{
-      StateVectorState(n),
-      [](const Operation&, StateVectorState&, Rng&) {
-        throw std::runtime_error("shard exploded");
-      },
-      [](const StateVectorState& state, Bitstring b) {
-        return compute_probability(state, b);
-      },
-      options};
-}
+/// Arms the engine's "shard_run" fault point to fire on every check for
+/// the lifetime of the guard, so every shard throws FaultInjectedError.
+class FailingShards {
+ public:
+  FailingShards() { fault::arm("shard_run", 1.0, /*seed=*/1); }
+  ~FailingShards() { fault::disarm_all(); }
+  FailingShards(const FailingShards&) = delete;
+  FailingShards& operator=(const FailingShards&) = delete;
+};
 
 TEST(BatchEngineAsync, TrajectoryShardExceptionPropagatesThroughFuture) {
   // Mid-circuit measurement + feed-forward forces the per-trajectory
@@ -211,42 +181,31 @@ TEST(BatchEngineAsync, TrajectoryShardExceptionPropagatesThroughFuture) {
   circuit.append(measure({0}, "mid"));
   circuit.append(x(1).controlled_by_measurement("mid"));
   circuit.append(measure({1}, "out"));
+  const RunRequest request = sv_request(circuit, 50, kSeed, 2);
 
-  BatchEngine<StateVectorState> engine{throwing_simulator(2, 2)};
-  auto future = engine.submit(circuit, 50, kSeed);
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The engine (and its pool) stay usable after a failed job.
-  Rng rng(kSeed);
-  EXPECT_THROW(engine.run(circuit, 50, rng), std::runtime_error);
-  BatchEngine<StateVectorState> healthy{make_simulator(2, 2)};
-  EXPECT_EQ(healthy.run(circuit, 50, kSeed).repetitions(), 50u);
+  Session session;
+  {
+    const FailingShards failing;
+    std::future<RunResult> future = session.run_async(request);
+    EXPECT_THROW((void)future.get(), FaultInjectedError);
+  }
+  // The session (and its pool) stay usable after a failed job.
+  EXPECT_EQ(session.run_async(request).get().measurements.repetitions(), 50u);
 }
 
 TEST(BatchEngineAsync, BatchedEvolutionExceptionPropagatesThroughFuture) {
-  // A unitary terminal-measurement circuit with custom (non-native)
-  // hooks takes the per-shard batched fallback; the evolution throw
-  // inside a shard must surface from the future.
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(2), 2, "m");
-  BatchEngine<StateVectorState> engine{throwing_simulator(2, 2)};
-  auto future = engine.submit(circuit, 100, kSeed);
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(BatchEngineAsync, SnapshotPathExceptionPropagatesThroughFuture) {
-  // Native hooks route a unitary terminal-measurement circuit through
-  // the snapshot-sharing path inside the async job; the job's
-  // validation throw (no measurements to sample) must surface from the
-  // future, and zero-repetition jobs must validate too — shards that
-  // never run cannot swallow the error.
-  BatchEngine<StateVectorState> engine{make_simulator(2, 2)};
-  EXPECT_THROW(engine.submit(ghz_circuit(2), 100, kSeed).get(), ValueError);
-  EXPECT_THROW(engine.submit(ghz_circuit(2), 0, kSeed).get(), ValueError);
-  Rng rng(kSeed);
-  EXPECT_THROW(engine.run(ghz_circuit(2), 0, rng), ValueError);
-  // The engine stays usable afterwards.
-  const Circuit good = with_terminal_measurement(ghz_circuit(2), 2, "m");
-  EXPECT_EQ(engine.run(good, 50, kSeed).repetitions(), 50u);
+  // A unitary terminal-measurement circuit takes the one-dictionary
+  // path; a throw inside its gate loop must surface from the future.
+  const RunRequest request = sv_request(
+      with_terminal_measurement(ghz_circuit(2), 2, "m"), 100, kSeed, 2);
+  Session session;
+  {
+    const FailingShards failing;
+    std::future<RunResult> future = session.run_async(request);
+    EXPECT_THROW((void)future.get(), FaultInjectedError);
+  }
+  EXPECT_EQ(session.run_async(request).get().measurements.repetitions(),
+            100u);
 }
 
 TEST(EngineContext, SharedCacheReturnsOnePoolPerThreadCount) {
@@ -280,25 +239,6 @@ TEST(EngineContext, SimulatorCachesAndSharesItsContext) {
   // Copies share the context — the copy/move story for the cached pool.
   Simulator<StateVectorState> copy = sim;
   EXPECT_EQ(copy.engine_context(), context);
-}
-
-TEST(EngineContext, ReuseOptOutBuildsPrivatePools) {
-  const int n = 3;
-  const Circuit circuit = trajectory_workload(n);
-  SimulatorOptions options;
-  options.num_threads = 2;
-  options.num_rng_streams = 4;
-  options.reuse_thread_pool = false;
-  Simulator<StateVectorState> sim{StateVectorState(n), options};
-  Rng rng(kSeed);
-  const Counts fresh = sim.run(circuit, 80, rng).histogram("m");
-  // No context is cached on the simulator in opt-out mode.
-  EXPECT_EQ(sim.engine_context(), nullptr);
-
-  // Opting out never changes the sampled values.
-  Simulator<StateVectorState> reusing = make_simulator(n, 2, 4);
-  Rng rng2(kSeed);
-  EXPECT_EQ(reusing.run(circuit, 80, rng2).histogram("m"), fresh);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Determinism regression suite for the batch engine: for a fixed seed,
 // the merged histogram must be bit-identical across every execution
-// configuration — thread count, sync vs async submission, pool reuse on
-// or off, and one-level vs two-level run_batch sharding. This pins the
-// engine's core invariant (threads only decide *where* a shard runs,
-// never *what* it computes) on every code path the v2 engine added.
+// configuration — thread count (1 included), sync vs async submission,
+// direct engine use vs Simulator delegation, native vs custom hooks, and
+// run_batch. This pins the engine's core invariant (threads only decide
+// *where* a shard runs, never *what* it computes) on both
+// decompositions.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "circuit/circuit.h"
 #include "circuit/noise.h"
 #include "circuit/random.h"
@@ -45,10 +47,8 @@ Circuit feed_forward_workload() {
   return circuit;
 }
 
-Simulator<StateVectorState> make_simulator(int n, int num_threads,
-                                           bool reuse_pool = true) {
-  return testing::make_sv_simulator(n, num_threads, /*num_streams=*/8,
-                                    reuse_pool);
+Simulator<StateVectorState> make_simulator(int n, int num_threads) {
+  return testing::make_sv_simulator(n, num_threads, /*num_streams=*/8);
 }
 
 struct Workload {
@@ -68,6 +68,7 @@ std::vector<Workload> workloads() {
 }
 
 TEST(EngineDeterminism, HashIdenticalAcrossThreadCountsSyncAndAsync) {
+  Session session;
   for (const Workload& workload : workloads()) {
     std::uint64_t reference = 0;
     bool first = true;
@@ -78,9 +79,16 @@ TEST(EngineDeterminism, HashIdenticalAcrossThreadCountsSyncAndAsync) {
           engine.run(workload.circuit, workload.repetitions, kSeed)
               .histogram(workload.key));
       const std::uint64_t async_hash = histogram_hash(
-          engine.submit(workload.circuit, workload.repetitions, kSeed)
+          session
+              .run_async(RunRequest()
+                             .with_circuit(workload.circuit)
+                             .with_repetitions(workload.repetitions)
+                             .with_seed(kSeed)
+                             .with_threads(threads)
+                             .with_rng_streams(8)
+                             .with_backend(BackendId::kStateVector))
               .get()
-              .result.histogram(workload.key));
+              .measurements.histogram(workload.key));
       EXPECT_EQ(async_hash, sync_hash)
           << workload.name << ": async diverged from sync at " << threads
           << " threads";
@@ -96,58 +104,34 @@ TEST(EngineDeterminism, HashIdenticalAcrossThreadCountsSyncAndAsync) {
   }
 }
 
-TEST(EngineDeterminism, HashIdenticalWithAndWithoutPoolReuse) {
+TEST(EngineDeterminism, SimulatorDelegationMatchesDirectEngineUse) {
   for (const Workload& workload : workloads()) {
-    for (const int threads : {2, 8}) {
-      BatchEngine<StateVectorState> reusing{
-          make_simulator(workload.qubits, threads, /*reuse_pool=*/true)};
-      BatchEngine<StateVectorState> fresh{
-          make_simulator(workload.qubits, threads, /*reuse_pool=*/false)};
-      EXPECT_EQ(
-          histogram_hash(
-              reusing.run(workload.circuit, workload.repetitions, kSeed)
-                  .histogram(workload.key)),
-          histogram_hash(
-              fresh.run(workload.circuit, workload.repetitions, kSeed)
-                  .histogram(workload.key)))
-          << workload.name << ": pool reuse changed the histogram at "
-          << threads << " threads";
+    for (const int threads : {1, 2}) {
+      BatchEngine<StateVectorState> engine{
+          make_simulator(workload.qubits, threads)};
+      const std::uint64_t direct = histogram_hash(
+          engine.run(workload.circuit, workload.repetitions, kSeed)
+              .histogram(workload.key));
+      Simulator<StateVectorState> sim =
+          make_simulator(workload.qubits, threads);
+      Rng rng(kSeed);
+      const std::uint64_t delegated = histogram_hash(
+          sim.run(workload.circuit, workload.repetitions, rng)
+              .histogram(workload.key));
+      EXPECT_EQ(delegated, direct) << workload.name << " at " << threads
+                                   << " threads";
     }
   }
 }
 
-TEST(EngineDeterminism, SimulatorDelegationMatchesDirectEngineUse) {
-  for (const Workload& workload : workloads()) {
-    BatchEngine<StateVectorState> engine{make_simulator(workload.qubits, 2)};
-    const std::uint64_t direct = histogram_hash(
-        engine.run(workload.circuit, workload.repetitions, kSeed)
-            .histogram(workload.key));
-    Simulator<StateVectorState> sim = make_simulator(workload.qubits, 2);
-    Rng rng(kSeed);
-    const std::uint64_t delegated = histogram_hash(
-        sim.run(workload.circuit, workload.repetitions, rng)
-            .histogram(workload.key));
-    const std::uint64_t async = histogram_hash(
-        sim.run_async(workload.circuit, workload.repetitions, kSeed)
-            .get()
-            .histogram(workload.key));
-    EXPECT_EQ(delegated, direct) << workload.name;
-    EXPECT_EQ(async, direct) << workload.name;
-  }
-}
-
 TEST(EngineDeterminism, CustomHooksMatchNativeHooksThroughEngine) {
-  // User-provided hooks never share a snapshot (no thread-safety
-  // guarantee against one state probed from many shards): the engine
-  // falls back to v1 per-shard private evolution for them. The shard
-  // decomposition and streams match the shared path, so hooks that
-  // compute the same values as the native ones must produce
-  // bit-identical histograms — this pins the shared-snapshot path to
-  // the v1 per-shard path bit for bit. (Channel circuits are excluded:
+  // User-provided hooks take the same decomposition as the native ones,
+  // so hooks that compute the same values must produce bit-identical
+  // histograms at every thread count. (Channel circuits are excluded:
   // native and custom hooks legitimately route channels differently.)
   const Workload workload{"batched", batched_workload(4), 4, 4000, "m"};
   {
-    for (const int threads : {2, 8}) {
+    for (const int threads : {1, 2, 8}) {
       SimulatorOptions options;
       options.num_threads = threads;
       options.num_rng_streams = 8;
@@ -162,8 +146,6 @@ TEST(EngineDeterminism, CustomHooksMatchNativeHooksThroughEngine) {
             return compute_probability(state, b);
           },
           options};
-      ASSERT_TRUE(native.hooks_are_native());
-      ASSERT_FALSE(custom.hooks_are_native());
       BatchEngine<StateVectorState> native_engine{std::move(native)};
       BatchEngine<StateVectorState> custom_engine{std::move(custom)};
       EXPECT_EQ(
@@ -179,7 +161,7 @@ TEST(EngineDeterminism, CustomHooksMatchNativeHooksThroughEngine) {
   }
 }
 
-TEST(EngineDeterminism, RunBatchIdenticalAcrossShardingLevelsAndThreads) {
+TEST(EngineDeterminism, RunBatchIdenticalAcrossThreads) {
   std::vector<Circuit> circuits;
   circuits.push_back(batched_workload(3));
   circuits.push_back(trajectory_workload(3));
@@ -187,56 +169,23 @@ TEST(EngineDeterminism, RunBatchIdenticalAcrossShardingLevelsAndThreads) {
       with_terminal_measurement(ghz_circuit(3), 3, "m"));
 
   std::vector<std::uint64_t> reference;
-  bool first = true;
   for (const int threads : {1, 2, 8}) {
-    for (const bool two_level : {true, false}) {
-      SimulatorOptions options;
-      options.num_threads = threads;
-      options.num_rng_streams = 8;
-      options.two_level_batch_sharding = two_level;
-      BatchEngine<StateVectorState> engine{
-          Simulator<StateVectorState>{StateVectorState(3), options}};
-      Rng rng(kSeed);
-      const std::vector<Result> results =
-          engine.run_batch(circuits, 400, rng);
-      ASSERT_EQ(results.size(), circuits.size());
-      std::vector<std::uint64_t> hashes;
-      for (const Result& result : results) {
-        EXPECT_EQ(result.repetitions(), 400u);
-        hashes.push_back(histogram_hash(result.histogram("m")));
-      }
-      if (first) {
-        reference = hashes;
-        first = false;
-      } else {
-        EXPECT_EQ(hashes, reference)
-            << "threads=" << threads << " two_level=" << two_level
-            << " changed a run_batch histogram";
-      }
+    BatchEngine<StateVectorState> engine{make_simulator(3, threads)};
+    Rng rng(kSeed);
+    const std::vector<Result> results = engine.run_batch(circuits, 400, rng);
+    ASSERT_EQ(results.size(), circuits.size());
+    std::vector<std::uint64_t> hashes;
+    for (const Result& result : results) {
+      EXPECT_EQ(result.repetitions(), 400u);
+      hashes.push_back(histogram_hash(result.histogram("m")));
+    }
+    if (reference.empty()) {
+      reference = hashes;
+    } else {
+      EXPECT_EQ(hashes, reference)
+          << "threads=" << threads << " changed a run_batch histogram";
     }
   }
-}
-
-TEST(EngineDeterminism, SnapshotPathMatchesPerShardStatistics) {
-  // The snapshot-sharing batched path must sample the same distribution
-  // as the serial dictionary path (different stream layout, same
-  // statistics): compare the merged engine histogram against a serial
-  // run at matched repetitions.
-  const int n = 3;
-  const Circuit circuit =
-      with_terminal_measurement(ghz_circuit(n), n, "m");
-  const std::uint64_t reps = 40000;
-
-  Simulator<StateVectorState> serial{StateVectorState(n)};
-  Rng serial_rng(kSeed);
-  const Distribution serial_dist =
-      serial.run(circuit, reps, serial_rng).distribution("m");
-
-  BatchEngine<StateVectorState> engine{make_simulator(n, 2)};
-  const Distribution engine_dist =
-      engine.run(circuit, reps, kSeed + 1).distribution("m");
-
-  EXPECT_LT(total_variation_distance(serial_dist, engine_dist), 0.02);
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
+#include "api/session.h"
 #include "engine_test_helpers.h"
 #include "service/report.h"
 #include "service/result_cache.h"
@@ -128,6 +130,53 @@ TEST(ResultCache, SchedulerHitIsByteIdenticalAcrossThreadCounts) {
   const ResultCache::Stats cache_stats = options.result_cache->stats();
   EXPECT_EQ(cache_stats.hits, 1u);
   EXPECT_EQ(cache_stats.entries, 2u);
+}
+
+/// The report `bgls_run` prints for `request`: the shared report writer
+/// over a fresh Session::run of that exact request.
+std::string bgls_run_report(const RunRequest& request) {
+  Session session;
+  return service::run_report_string(
+      service::report_context(request, request.circuit.num_qubits()),
+      session.run(request));
+}
+
+TEST(ResultCache, HitEqualsWhatBglsRunPrintsForThatThreadCount) {
+  // The cache keys requests without their thread count, so a hit is
+  // correct only if every thread count prints the same bytes. Both
+  // decompositions are pinned: the one-dictionary batched path and the
+  // sharded trajectory path (`bgls_run --no-batch`), each submitted at
+  // threads=2 then threads=1, and in the reverse order.
+  const RunRequest batched = RunRequest()
+                                 .with_circuit(testing::batched_workload(
+                                     4, /*circuit_seed=*/11,
+                                     /*num_moments=*/10, /*op_density=*/0.8))
+                                 .with_repetitions(2000)
+                                 .with_seed(5)
+                                 .with_backend(BackendId::kStateVector);
+  const RunRequest trajectory =
+      RunRequest(batched).with_sample_parallelization(false);
+  for (const std::vector<int>& order :
+       {std::vector<int>{2, 1}, std::vector<int>{1, 2}}) {
+    SchedulerOptions options;
+    options.result_cache = std::make_shared<service::ResultCache>();
+    JobScheduler scheduler(options);
+    for (const int threads : order) {
+      for (const RunRequest* base : {&batched, &trajectory}) {
+        RunRequest request = *base;
+        request.with_threads(threads);
+        const JobInfo info = scheduler.wait(scheduler.submit(request));
+        ASSERT_EQ(info.state, JobState::kDone);
+        EXPECT_EQ(service::run_report_string(
+                      service::report_context(request, 4), *info.result),
+                  bgls_run_report(request))
+            << (base == &batched ? "batched" : "trajectory")
+            << " request at threads=" << threads << " (order " << order[0]
+            << "," << order[1] << ", from_cache=" << info.from_cache << ")";
+      }
+    }
+    EXPECT_EQ(scheduler.stats().cache_hits, 2u);
+  }
 }
 
 TEST(ResultCache, SharedCacheAnswersAcrossSchedulers) {

@@ -179,9 +179,10 @@ TEST(JobScheduler, CancelledRunNeverCorruptsLaterRuns) {
 }
 
 TEST(JobScheduler, ProgressRecordedAndReplayable) {
+  // Four trajectory shards of 50: one update per shard completion.
   JobScheduler scheduler;
-  const std::uint64_t id =
-      scheduler.submit(small_job(7, 200).with_progress(50, nullptr));
+  const std::uint64_t id = scheduler.submit(
+      small_job(7, 200).with_rng_streams(4).with_progress(50, nullptr));
   const JobInfo info = scheduler.wait(id);
   ASSERT_EQ(info.state, JobState::kDone);
   EXPECT_EQ(info.progress_updates, 4u);
@@ -198,10 +199,11 @@ TEST(JobScheduler, ProgressRecordedAndReplayable) {
   std::vector<std::uint64_t> seen;
   std::mutex seen_mutex;
   const std::uint64_t with_sink = scheduler.submit(
-      small_job(7, 200).with_progress(50, [&](const ProgressUpdate& update) {
-        const std::lock_guard<std::mutex> lock(seen_mutex);
-        seen.push_back(update.completed_repetitions);
-      }));
+      small_job(7, 200).with_rng_streams(4).with_progress(
+          50, [&](const ProgressUpdate& update) {
+            const std::lock_guard<std::mutex> lock(seen_mutex);
+            seen.push_back(update.completed_repetitions);
+          }));
   scheduler.wait(with_sink);
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{50, 100, 150, 200}));
 }

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +22,9 @@
 #include "qasm/qasm.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/journal.h"
 #include "service/report.h"
+#include "util/json_writer.h"
 
 namespace bgls {
 namespace {
@@ -176,6 +179,7 @@ TEST_F(ServiceTest, StreamDeliversDeterministicPrefixes) {
   args.repetitions = 50000;
   args.no_batch = true;
   args.progress_every = 10000;
+  args.streams = 5;  // shards of 10000: one frame per shard
   args.seed = 13;
 
   // Stream the same job spec twice; both streams must agree frame for
@@ -326,6 +330,107 @@ TEST(ServiceJournal, RestartReplaysTerminalJobsAndResumesIncompleteOnes) {
   // one was journaled) to the canonical bytes.
   EXPECT_EQ(client.wait_report(interrupted_id), direct_report(interrupted));
 
+  daemon.stop();
+  std::remove(journal.c_str());
+}
+
+/// A checkpoint record in the shape earlier releases journaled, under a
+/// mode name this build no longer writes: `shards` shards, each claiming
+/// to be complete with every count on outcome 5 — bytes no GHZ run can
+/// print, so a job that trusted the record would fail the comparison.
+std::string old_checkpoint_record(std::uint64_t job, const char* mode,
+                                  std::uint64_t repetitions,
+                                  std::uint64_t shards) {
+  std::ostringstream os;
+  JsonWriter json(os, JsonWriter::Style::kCompact);
+  json.begin_object();
+  json.key("type").value("checkpoint");
+  json.key("job").value(job);
+  json.key("data").begin_object();
+  json.key("version").value(1);
+  json.key("mode").value(mode);
+  json.key("total").value(repetitions);
+  json.key("shards").begin_array();
+  for (std::uint64_t i = 0; i < shards; ++i) {
+    const std::uint64_t total =
+        repetitions / shards + (i < repetitions % shards ? 1 : 0);
+    json.begin_object();
+    json.key("total").value(total);
+    json.key("completed").value(total);
+    json.key("rng").begin_array();
+    for (std::uint64_t word = 1; word <= 4; ++word) json.value(word);
+    json.end_array();
+    json.key("histograms").begin_object();
+    json.key("c").begin_object().key("5").value(total).end_object();
+    json.end_object();
+    json.end_object();
+  }
+  json.end_array();
+  json.end_object();
+  json.end_object();
+  return os.str();
+}
+
+TEST(ServiceJournal, CheckpointsOfRetiredModesRerunFromScratch) {
+  // Journals written before the one-dictionary decomposition hold
+  // "serial", "serial_batched" and 16-shard "engine_batched"
+  // checkpoints. Replay must treat them as unknown: each job re-runs
+  // from scratch to exactly the bytes bgls_run prints for it.
+  const std::string journal = "/tmp/bgls_test_journal_" +
+                              std::to_string(::getpid()) + "_modes.ndjson";
+  std::remove(journal.c_str());
+
+  struct OldJob {
+    const char* mode;
+    SubmitArgs args;
+    std::uint64_t shards;
+  };
+  std::vector<OldJob> jobs(3);
+  for (OldJob& job : jobs) {
+    job.args.qasm = kGhzQasm;
+    job.args.repetitions = 600;
+    job.args.seed = 31;
+  }
+  jobs[0].mode = "serial";  // a threads=1 trajectory run
+  jobs[0].args.no_batch = true;
+  jobs[0].shards = 1;
+  jobs[1].mode = "serial_batched";  // a threads=1 batched run
+  jobs[1].shards = 1;
+  jobs[2].mode = "engine_batched";  // a threads=2 batched run
+  jobs[2].args.threads = 2;
+  jobs[2].shards = 16;
+  {
+    Journal writer;
+    writer.open(journal);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::uint64_t id = i + 1;
+      std::string line = submit_request_line(jobs[i].args);
+      if (!line.empty() && line.back() == '\n') line.pop_back();
+      std::ostringstream submit;
+      JsonWriter json(submit, JsonWriter::Style::kCompact);
+      json.begin_object();
+      json.key("type").value("submit");
+      json.key("job").value(id);
+      json.key("line").value(line);
+      json.end_object();
+      writer.append(submit.str());
+      writer.append(old_checkpoint_record(id, jobs[i].mode,
+                                          jobs[i].args.repetitions,
+                                          jobs[i].shards));
+    }
+    writer.close();
+  }
+
+  DaemonOptions options;
+  options.endpoint = Endpoint::unix_socket(unique_socket_path());
+  options.journal_path = journal;
+  ServiceDaemon daemon(options);
+  daemon.start();  // replays the journal and re-enqueues all three jobs
+  ServiceClient client(daemon.endpoint());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(client.wait_report(i + 1), direct_report(jobs[i].args))
+        << "job with a '" << jobs[i].mode << "' checkpoint";
+  }
   daemon.stop();
   std::remove(journal.c_str());
 }

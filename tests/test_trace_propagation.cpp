@@ -160,13 +160,11 @@ TEST(TracePropagation, EngineSpanTreeByteStableOneVsEightThreads) {
 
 TEST(TracePropagation, SchedulerSpanTreeByteStableAcrossThreadCounts) {
   // Same property through the full serving path (scheduler → session →
-  // engine), across engine thread counts. threads == 1 requests take
-  // the documented classic serial path — a different, stream-free
-  // decomposition whose histograms legitimately differ — so the
-  // service-level comparison varies the *engine* pool width.
+  // engine), across thread counts — 1 included: every count takes the
+  // same decomposition, inline on the runner or on the pool.
   std::vector<std::string> rendered;
   std::vector<std::string> chrome;
-  for (const int threads : {2, 8}) {
+  for (const int threads : {1, 2, 8}) {
     JobScheduler scheduler;
     const std::uint64_t id = scheduler.submit(
         RunRequest()
@@ -182,8 +180,10 @@ TEST(TracePropagation, SchedulerSpanTreeByteStableAcrossThreadCounts) {
     rendered.push_back(obs::render_span_tree(kTraceId, spans));
     chrome.push_back(obs::to_chrome_trace(kTraceId, spans));
   }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_EQ(chrome[0], chrome[1]);
+  for (std::size_t i = 1; i < rendered.size(); ++i) {
+    EXPECT_EQ(rendered[i], rendered[0]) << "thread count #" << i;
+    EXPECT_EQ(chrome[i], chrome[0]) << "thread count #" << i;
+  }
   // One tree, not a forest: every shard span nests under "run".
   EXPECT_NE(rendered[0].find("- run"), std::string::npos);
   EXPECT_NE(rendered[0].find("  - shard"), std::string::npos);

@@ -11,12 +11,10 @@
 ///
 /// The JSON contains only result-determining fields (seed, streams,
 /// repetitions, backend, histograms, scheduling-independent counters),
-/// so for a fixed seed the output is byte-identical across runs and —
-/// on the engine path (--threads != 1) — across thread counts, whose
-/// draws are fixed by --streams alone. --threads 1 is the classic
-/// serial path, which samples from a different (single) RNG stream.
-/// CI pins both with a checked-in expected file and a 2-vs-4-thread
-/// diff.
+/// so for a fixed seed the output is byte-identical across runs and
+/// across thread counts, 1 included: --threads only decides where the
+/// work runs. CI pins both with a checked-in expected file and a
+/// 1-vs-2-vs-4-thread diff, batched and --no-batch.
 
 #include <cstdint>
 #include <fstream>
@@ -66,14 +64,12 @@ void print_usage(std::ostream& os) {
         "                   name registered in the backend registry\n"
         "  --reps N         repetitions to sample (default 1024)\n"
         "  --seed N         RNG seed (default 0)\n"
-        "  --threads N      worker threads; 0 = hardware concurrency.\n"
-        "                   Default 1 = the classic serial path; any other\n"
-        "                   value routes through the batch engine, whose\n"
-        "                   output is identical for every thread count at\n"
-        "                   fixed --streams (1 draws differently)\n"
-        "  --streams N      deterministic RNG streams (default 16; on the\n"
-        "                   engine path this, not --threads, fixes the\n"
-        "                   sampled values)\n"
+        "  --threads N      worker threads (default 1; 0 = hardware\n"
+        "                   concurrency). Never changes the output: it is\n"
+        "                   identical for every thread count, 1 included\n"
+        "  --streams N      deterministic RNG streams of a per-trajectory\n"
+        "                   run (default 16; this, not --threads, fixes\n"
+        "                   its sampled values)\n"
         "  --optimize       run optimize_for_bgls before sampling\n"
         "  --no-batch       disable dictionary batching (per-trajectory\n"
         "                   sampling; draws differ from the batched path)\n"
