@@ -1,6 +1,7 @@
 #include "service/daemon.h"
 
 #include <chrono>
+#include <functional>
 #include <sstream>
 #include <utility>
 
@@ -15,76 +16,6 @@ namespace bgls::service {
 namespace {
 
 using namespace std::chrono_literals;
-
-/// Daemon series. Per-op counters are pre-registered (the map is
-/// read-only after construction), so the request path only touches
-/// relaxed atomics.
-struct DaemonMetrics {
-  std::map<std::string, obs::Counter, std::less<>> requests;
-  obs::Counter unknown_requests;
-  obs::Histogram request_seconds;
-  obs::Counter connections;
-  obs::Gauge open_connections;
-
-  DaemonMetrics() {
-    auto& registry = obs::MetricsRegistry::global();
-    const char* help = "Requests handled, by op";
-    for (const char* op : {"submit", "status", "cancel", "result", "wait",
-                           "stream", "stats", "metrics", "trace", "logs",
-                           "shutdown"}) {
-      requests.emplace(
-          op, registry.counter("bgls_daemon_requests_total{op=\"" +
-                                   std::string(op) + "\"}",
-                               help));
-    }
-    unknown_requests =
-        registry.counter("bgls_daemon_requests_total{op=\"other\"}", help);
-    request_seconds = registry.histogram(
-        "bgls_daemon_request_seconds",
-        "Wall time handling one request line (stream/wait ops include "
-        "the time spent following the job)");
-    connections = registry.counter("bgls_daemon_connections_total",
-                                   "Client connections accepted");
-    open_connections = registry.gauge("bgls_daemon_open_connections",
-                                      "Client connections currently open");
-  }
-
-  void count(std::string_view op) {
-    const auto it = requests.find(op);
-    (it != requests.end() ? it->second : unknown_requests).add();
-  }
-
-  static DaemonMetrics& instance() {
-    static DaemonMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Builds one compact response line ({"ok":...,...}\n) via a filler
-/// callback receiving the open JsonWriter object scope.
-template <typename Fill>
-std::string response_line(bool ok, Fill fill) {
-  std::ostringstream os;
-  JsonWriter json(os, JsonWriter::Style::kCompact);
-  json.begin_object();
-  json.key("ok").value(ok);
-  fill(json);
-  json.end_object();
-  os << "\n";
-  return os.str();
-}
-
-std::string error_line(const std::string& code, const std::string& message) {
-  return response_line(false, [&](JsonWriter& json) {
-    json.key("code").value(code);
-    json.key("error").value(message);
-  });
-}
-
-/// Maps a terminal non-done job state onto its wire error code.
-std::string state_error_code(JobState state) {
-  return std::string(job_state_name(state));
-}
 
 /// Builds one compact journal record body via a filler callback.
 template <typename Fill>
@@ -124,7 +55,38 @@ std::string evict_record(std::uint64_t job) {
 }  // namespace
 
 ServiceDaemon::ServiceDaemon(DaemonOptions options)
-    : options_(std::move(options)), scheduler_(hooked_scheduler_options()) {}
+    : options_(std::move(options)),
+      scheduler_(hooked_scheduler_options()),
+      server_(line_server_config()) {}
+
+LineServer::Config ServiceDaemon::line_server_config() {
+  const auto bind = [this](auto handler) {
+    return std::bind_front(handler, this);
+  };
+  LineServer::Config config;
+  config.name = "daemon";
+  config.slow_request_ms = options_.slow_request_ms;
+  config.ops = {
+      {"submit", bind(&ServiceDaemon::handle_submit)},
+      {"status", bind(&ServiceDaemon::handle_status)},
+      {"cancel", bind(&ServiceDaemon::handle_cancel)},
+      {"result", bind(&ServiceDaemon::handle_result_or_wait)},
+      {"wait", bind(&ServiceDaemon::handle_result_or_wait)},
+      {"stream", bind(&ServiceDaemon::handle_stream)},
+      {"stats", bind(&ServiceDaemon::handle_stats)},
+      {"metrics", bind(&ServiceDaemon::handle_metrics)},
+      {"trace", bind(&ServiceDaemon::handle_trace)},
+  };
+  config.job_trace_id = [this](std::uint64_t job) -> std::uint64_t {
+    try {
+      const JobInfo info = scheduler_.info(job);
+      return info.trace != nullptr ? info.trace->id() : 0;
+    } catch (const std::exception&) {
+      return 0;  // unknown/evicted job — log without correlation
+    }
+  };
+  return config;
+}
 
 SchedulerOptions& ServiceDaemon::hooked_scheduler_options() {
   SchedulerOptions& scheduler = options_.scheduler;
@@ -146,44 +108,73 @@ SchedulerOptions& ServiceDaemon::hooked_scheduler_options() {
 
 void ServiceDaemon::journal_terminal(const JobInfo& info) {
   if (!journal_.is_open()) return;
-  std::string record;
-  if (info.state == JobState::kDone && info.result != nullptr) {
-    RunReportContext context;
-    bool have_context = false;
-    {
-      const std::lock_guard<std::mutex> lock(contexts_mutex_);
-      const auto it = contexts_.find(info.id);
-      if (it != contexts_.end()) {
-        context = it->second;
-        have_context = true;
-      }
-    }
-    if (!have_context) return;  // evicted side table; nothing to journal
-    record = journal_record("terminal", info.id, [&](JsonWriter& json) {
-      json.key("state").value(job_state_name(info.state));
-      json.key("backend").value(info.result->backend_name);
-      json.key("selection_reason").value(info.result->selection_reason);
-      json.key("report").value(run_report_string(context, *info.result));
-    });
-  } else {
-    record = journal_record("terminal", info.id, [&](JsonWriter& json) {
-      json.key("state").value(job_state_name(info.state));
-      json.key("error").value(info.error);
-    });
+  ReplayedResult result;
+  // An evicted side table leaves nothing to journal.
+  if (terminal_result(info, result)) {
+    journal_.append(terminal_record(info.id, result));
   }
-  journal_.append(record);
+}
+
+bool ServiceDaemon::terminal_result(const JobInfo& info,
+                                    ReplayedResult& out) const {
+  out.state = info.state;
+  if (info.state != JobState::kDone || info.result == nullptr) {
+    out.error = info.error;
+    return true;
+  }
+  RunReportContext context;
+  {
+    const std::lock_guard<std::mutex> lock(contexts_mutex_);
+    const auto it = contexts_.find(info.id);
+    if (it == contexts_.end()) return false;
+    context = it->second;
+  }
+  out.backend = info.result->backend_name;
+  out.selection_reason = info.result->selection_reason;
+  out.report = run_report_string(context, *info.result);
+  return true;
+}
+
+std::string ServiceDaemon::terminal_record(std::uint64_t id,
+                                           const ReplayedResult& result) {
+  return journal_record("terminal", id, [&](JsonWriter& json) {
+    json.key("state").value(job_state_name(result.state));
+    if (result.state == JobState::kDone) {
+      json.key("backend").value(result.backend);
+      json.key("selection_reason").value(result.selection_reason);
+      json.key("report").value(result.report);
+    } else {
+      json.key("error").value(result.error);
+    }
+  });
+}
+
+void ServiceDaemon::send_terminal(Socket& socket, const std::string& type,
+                                  std::uint64_t id,
+                                  const ReplayedResult& result) {
+  const bool done = result.state == JobState::kDone;
+  socket.write_all(response_line(done, [&](JsonWriter& json) {
+    if (!type.empty()) json.key("type").value(type);
+    json.key("job").value(id);
+    if (!done) json.key("code").value(job_state_name(result.state));
+    json.key("state").value(job_state_name(result.state));
+    if (done) {
+      json.key("backend").value(result.backend);
+      json.key("selection_reason").value(result.selection_reason);
+      json.key("report").value(result.report);
+    } else {
+      json.key("error").value(result.error);
+    }
+  }));
 }
 
 ServiceDaemon::~ServiceDaemon() { stop(); }
 
 void ServiceDaemon::start() {
-  BGLS_REQUIRE(!started_, "daemon already started");
   if (!options_.journal_path.empty() && !journal_.is_open()) {
     replay_journal();
   }
-  server_.listen_on(options_.endpoint);
-  started_ = true;
-  acceptor_ = std::thread([this] { accept_loop(); });
+  server_.start(options_.endpoint);
 }
 
 void ServiceDaemon::replay_journal() {
@@ -252,18 +243,7 @@ void ServiceDaemon::replay_journal() {
   std::vector<std::string> compacted;
   for (const auto& [id, job] : pending) {
     if (job.terminal) {
-      const ReplayedResult& result = job.result;
-      compacted.push_back(journal_record(
-          "terminal", id, [&](JsonWriter& json) {
-            json.key("state").value(job_state_name(result.state));
-            if (result.state == JobState::kDone) {
-              json.key("backend").value(result.backend);
-              json.key("selection_reason").value(result.selection_reason);
-              json.key("report").value(result.report);
-            } else {
-              json.key("error").value(result.error);
-            }
-          }));
+      compacted.push_back(terminal_record(id, job.result));
     } else if (!job.line.empty()) {
       compacted.push_back(submit_record(id, job.line));
       if (job.checkpoint != nullptr) {
@@ -318,191 +298,24 @@ void ServiceDaemon::replay_journal() {
 }
 
 void ServiceDaemon::stop() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  server_.close();
-  if (acceptor_.joinable()) acceptor_.join();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    // Unblock handler threads stuck in read_line; fds are released when
-    // the Connection objects die below, after the joins.
-    for (auto& connection : connections_) connection->socket.shutdown_both();
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  // Durability barrier: every acknowledged record is on disk before we
-  // report stopped. The journal stays open — scheduler runners may
+  if (!server_.stop()) return;
+  // Durability barrier: every acknowledged record is on disk before
+  // stop() returns. The journal stays open — scheduler runners may
   // still finish (and journal) jobs until ~JobScheduler joins them.
   if (journal_.is_open()) journal_.flush();
-  started_ = false;
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
 }
 
-void ServiceDaemon::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
+void ServiceDaemon::wait_for_shutdown() { server_.wait_for_shutdown(); }
 
-void ServiceDaemon::request_shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
-}
+void ServiceDaemon::request_shutdown() { server_.request_shutdown(); }
 
-void ServiceDaemon::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Socket socket = server_.accept();
-    if (!socket.valid()) break;  // close()d
-    reap_connections();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(socket);
-    Connection* raw = connection.get();
-    connection->thread = std::thread([this, raw] { handle_connection(*raw); });
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void ServiceDaemon::reap_connections() {
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ServiceDaemon::handle_connection(Connection& connection) {
-  DaemonMetrics& metrics = DaemonMetrics::instance();
-  metrics.connections.add();
-  metrics.open_connections.add(1);
-  std::string line;
-  try {
-    while (connection.socket.read_line(line)) {
-      if (line.empty()) continue;
-      handle_line(line, connection.socket);
-    }
-  } catch (const IoError&) {
-    // Peer vanished mid-request/response — normal client churn.
-  }
-  metrics.open_connections.sub(1);
-  connection.done.store(true, std::memory_order_release);
-}
-
-void ServiceDaemon::handle_line(const std::string& line, Socket& socket) {
-  JsonValue message;
-  try {
-    message = JsonValue::parse(line);
-  } catch (const ParseError& e) {
-    socket.write_all(error_line("parse_error", e.what()));
-    return;
-  }
-  std::string op;
-  const auto request_start = std::chrono::steady_clock::now();
-  try {
-    op = message.string_or("op", "");
-    DaemonMetrics::instance().count(op);
-    if (op == "submit") {
-      handle_submit(message, line, socket);
-    } else if (op == "status") {
-      handle_status(message, socket);
-    } else if (op == "cancel") {
-      handle_cancel(message, socket);
-    } else if (op == "result") {
-      handle_result_or_wait(message, socket, /*wait=*/false);
-    } else if (op == "wait") {
-      handle_result_or_wait(message, socket, /*wait=*/true);
-    } else if (op == "stream") {
-      handle_stream(message, socket);
-    } else if (op == "stats") {
-      handle_stats(socket);
-    } else if (op == "metrics") {
-      handle_metrics(socket);
-    } else if (op == "trace") {
-      handle_trace(message, socket);
-    } else if (op == "logs") {
-      handle_logs(message, socket);
-    } else if (op == "shutdown") {
-      socket.write_all(response_line(true, [](JsonWriter&) {}));
-      {
-        const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-        shutdown_requested_ = true;
-      }
-      shutdown_cv_.notify_all();
-    } else {
-      socket.write_all(
-          error_line("unknown_op", "unknown op '" + op + "'"));
-    }
-  } catch (const IoError&) {
-    throw;  // connection-level: let the handler loop exit
-  } catch (const QueueFullError& e) {
-    socket.write_all(error_line("queue_full", e.what()));
-  } catch (const TenantQuotaError& e) {
-    // Retryable like queue_full: the tenant's backlog drains.
-    socket.write_all(error_line("tenant_quota", e.what()));
-  } catch (const CostBudgetError& e) {
-    // Retryable only for the backlog budget; a per-job over-budget
-    // rejection re-fails identically, but the slug lets clients decide.
-    socket.write_all(error_line("over_budget", e.what()));
-  } catch (const JournalError& e) {
-    // Transient durability failure: the client should back off and
-    // retry (bgls_client --retries does).
-    socket.write_all(error_line("journal_error", e.what()));
-  } catch (const ParseError& e) {
-    socket.write_all(error_line("parse_error", e.what()));
-  } catch (const std::exception& e) {
-    // Unknown job ids, malformed fields, capability errors, ...
-    socket.write_all(error_line("bad_request", e.what()));
-  }
-  const double request_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    request_start)
-          .count();
-  DaemonMetrics::instance().request_seconds.observe(request_seconds);
-  if (options_.slow_request_ms > 0 &&
-      request_seconds * 1000.0 >=
-          static_cast<double>(options_.slow_request_ms)) {
-    // Resolve the request's trace id for correlation: submits carry it
-    // inline; job ops go through the job's trace.
-    const std::uint64_t job_id = message.u64_or("job", 0);
-    std::uint64_t trace_id = message.u64_or("trace_id", 0);
-    if (trace_id == 0 && job_id != 0) {
-      try {
-        const JobInfo info = scheduler_.info(job_id);
-        if (info.trace != nullptr) trace_id = info.trace->id();
-      } catch (const std::exception&) {
-        // Unknown/evicted job — log without correlation.
-      }
-    }
-    obs::log(obs::LogLevel::kWarn, "daemon", "slow request",
-             {{"op", op}, {"ms", request_seconds * 1000.0}}, trace_id, job_id);
-  }
-}
-
-void ServiceDaemon::handle_submit(const JsonValue& message,
-                                  const std::string& line, Socket& socket) {
-  RunRequest request = parse_submit(message);
+void ServiceDaemon::handle_submit(const Request& request) {
+  RunRequest run = parse_submit(request.message);
   // Same width the CLI reports (no clamping) — the report must match
   // bgls_run byte for byte.
   const RunReportContext context =
-      report_context(request, request.circuit.num_qubits());
-  const std::uint64_t id = scheduler_.submit(std::move(request));
+      report_context(run, run.circuit.num_qubits());
+  const std::uint64_t id = scheduler_.submit(std::move(run));
   {
     // Store this job's report context and prune entries for jobs the
     // scheduler's retention bound has evicted, so the daemon's side
@@ -517,7 +330,7 @@ void ServiceDaemon::handle_submit(const JsonValue& message,
   // restart daemon still knows the job. On a journal failure the job
   // keeps running but the client gets journal_error and must retry —
   // the orphan's terminal record is dropped at the next replay.
-  if (journal_.is_open()) journal_.append(submit_record(id, line));
+  if (journal_.is_open()) journal_.append(submit_record(id, request.line));
   // Cache hits are born terminal — report the real state so clients
   // can skip straight to `result` without polling.
   JobState state = JobState::kQueued;
@@ -529,17 +342,11 @@ void ServiceDaemon::handle_submit(const JsonValue& message,
   } catch (const ValueError&) {
     // Evicted already (pathologically small retention) — keep kQueued.
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
     json.key("state").value(job_state_name(state));
     if (from_cache) json.key("from_cache").value(true);
   }));
-}
-
-std::uint64_t ServiceDaemon::job_field(const JsonValue& message) const {
-  const JsonValue* job = message.find("job");
-  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
-  return job->as_u64();
 }
 
 bool ServiceDaemon::find_replayed(std::uint64_t id,
@@ -555,30 +362,13 @@ bool ServiceDaemon::send_replayed(std::uint64_t id, Socket& socket,
                                   const std::string& type) {
   ReplayedResult replayed;
   if (!find_replayed(id, replayed)) return false;
-  // Same wire shape as send_result, rebuilt from the journaled report.
-  if (replayed.state == JobState::kDone) {
-    socket.write_all(response_line(true, [&](JsonWriter& json) {
-      if (!type.empty()) json.key("type").value(type);
-      json.key("job").value(id);
-      json.key("state").value(job_state_name(replayed.state));
-      json.key("backend").value(replayed.backend);
-      json.key("selection_reason").value(replayed.selection_reason);
-      json.key("report").value(replayed.report);
-    }));
-    return true;
-  }
-  socket.write_all(response_line(false, [&](JsonWriter& json) {
-    if (!type.empty()) json.key("type").value(type);
-    json.key("job").value(id);
-    json.key("code").value(state_error_code(replayed.state));
-    json.key("state").value(job_state_name(replayed.state));
-    json.key("error").value(replayed.error);
-  }));
+  send_terminal(socket, type, id, replayed);
   return true;
 }
 
-void ServiceDaemon::handle_status(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_status(const Request& request) {
+  const std::uint64_t id = request.job();
+  Socket& socket = request.socket;
   JobInfo info;
   try {
     info = scheduler_.info(id);
@@ -622,10 +412,10 @@ void ServiceDaemon::handle_status(const JsonValue& message, Socket& socket) {
   }));
 }
 
-void ServiceDaemon::handle_cancel(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_cancel(const Request& request) {
+  const std::uint64_t id = request.job();
   const bool cancelled = scheduler_.cancel(id);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
     json.key("cancelled").value(cancelled);
   }));
@@ -633,75 +423,51 @@ void ServiceDaemon::handle_cancel(const JsonValue& message, Socket& socket) {
 
 void ServiceDaemon::send_result(const JobInfo& info, Socket& socket,
                                 const std::string& type) {
-  if (info.state == JobState::kDone) {
-    RunReportContext context;
-    {
-      const std::lock_guard<std::mutex> lock(contexts_mutex_);
-      const auto it = contexts_.find(info.id);
-      if (it == contexts_.end()) {
-        // Evicted by retention between the info() snapshot and here.
-        socket.write_all(error_line(
-            "unknown_job", "job " + std::to_string(info.id) +
-                               " was evicted by the retention bound"));
-        return;
-      }
-      context = it->second;
-    }
-    const std::string report = run_report_string(context, *info.result);
-    socket.write_all(response_line(true, [&](JsonWriter& json) {
-      if (!type.empty()) json.key("type").value(type);
-      json.key("job").value(info.id);
-      json.key("state").value(job_state_name(info.state));
-      json.key("backend").value(info.result->backend_name);
-      json.key("selection_reason").value(info.result->selection_reason);
-      json.key("report").value(report);
-    }));
-    return;
-  }
   if (!is_terminal(info.state)) {
     socket.write_all(error_line(
         "not_done", "job " + std::to_string(info.id) + " is " +
                         std::string(job_state_name(info.state))));
     return;
   }
-  socket.write_all(response_line(false, [&](JsonWriter& json) {
-    if (!type.empty()) json.key("type").value(type);
-    json.key("job").value(info.id);
-    json.key("code").value(state_error_code(info.state));
-    json.key("state").value(job_state_name(info.state));
-    json.key("error").value(info.error);
-  }));
+  ReplayedResult result;
+  if (!terminal_result(info, result)) {
+    // Evicted by retention between the info() snapshot and here.
+    socket.write_all(error_line(
+        "unknown_job", "job " + std::to_string(info.id) +
+                           " was evicted by the retention bound"));
+    return;
+  }
+  send_terminal(socket, type, info.id, result);
 }
 
-void ServiceDaemon::handle_result_or_wait(const JsonValue& message,
-                                          Socket& socket, bool wait) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_result_or_wait(const Request& request) {
+  const std::uint64_t id = request.job();
   JobInfo info;
   try {
     info = scheduler_.info(id);
   } catch (const ValueError&) {
-    if (send_replayed(id, socket, "")) return;
+    if (send_replayed(id, request.socket, "")) return;
     throw;
   }
-  if (wait) {
+  if (request.op == "wait") {
     // Bounded waits keep stop() responsive: poll the scheduler in
     // slices instead of blocking unboundedly on the condition variable.
-    const std::uint64_t timeout_ms = message.u64_or("timeout_ms", 0);
+    const std::uint64_t timeout_ms = request.message.u64_or("timeout_ms", 0);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
-    while (!is_terminal(info.state) &&
-           !stopping_.load(std::memory_order_acquire)) {
+    while (!is_terminal(info.state) && !server_.stopping()) {
       if (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
         break;
       }
       info = scheduler_.wait(id, 200ms);
     }
   }
-  send_result(info, socket, "");
+  send_result(info, request.socket, "");
 }
 
-void ServiceDaemon::handle_stream(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_stream(const Request& request) {
+  const std::uint64_t id = request.job();
+  Socket& socket = request.socket;
   if (send_replayed(id, socket, "result")) return;
   std::size_t cursor = 0;
   while (true) {
@@ -723,7 +489,7 @@ void ServiceDaemon::handle_stream(const JsonValue& message, Socket& socket) {
       send_result(info, socket, "result");
       return;
     }
-    if (stopping_.load(std::memory_order_acquire)) {
+    if (server_.stopping()) {
       send_result(info, socket, "result");
       return;
     }
@@ -731,9 +497,9 @@ void ServiceDaemon::handle_stream(const JsonValue& message, Socket& socket) {
   }
 }
 
-void ServiceDaemon::handle_stats(Socket& socket) {
+void ServiceDaemon::handle_stats(const Request& request) {
   const SchedulerStats stats = scheduler_.stats();
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("submitted").value(stats.submitted);
     json.key("rejected").value(stats.rejected);
     json.key("completed").value(stats.completed);
@@ -761,18 +527,18 @@ void ServiceDaemon::handle_stats(Socket& socket) {
   }));
 }
 
-void ServiceDaemon::handle_metrics(Socket& socket) {
+void ServiceDaemon::handle_metrics(const Request& request) {
   // The whole process-wide registry, not just daemon series: a scrape
   // sees kernel/engine/pool/scheduler series from the same snapshot.
   const std::string text =
       obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("metrics").value(text);
   }));
 }
 
-void ServiceDaemon::handle_trace(const JsonValue& message, Socket& socket) {
-  const std::uint64_t id = job_field(message);
+void ServiceDaemon::handle_trace(const Request& request) {
+  const std::uint64_t id = request.job();
   const JobInfo info = scheduler_.info(id);  // throws on unknown id
   std::uint64_t trace_id = 0;
   std::vector<obs::SpanRecord> spans;
@@ -780,31 +546,11 @@ void ServiceDaemon::handle_trace(const JsonValue& message, Socket& socket) {
     trace_id = info.trace->id();
     spans = info.trace->spans();  // sorted (name, index, id)
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("job").value(id);
     json.key("trace_id").value(trace_id);
     json.key("spans");
     write_spans(json, spans);
-  }));
-}
-
-void ServiceDaemon::handle_logs(const JsonValue& message, Socket& socket) {
-  const std::string level_name = message.string_or("level", "debug");
-  obs::LogLevel min_level = obs::LogLevel::kDebug;
-  BGLS_REQUIRE(obs::parse_log_level(level_name, &min_level),
-               "unknown log level '", level_name,
-               "' (expected debug/info/warn/error)");
-  const std::uint64_t trace_id = message.u64_or("trace_id", 0);
-  const std::uint64_t limit = message.u64_or("limit", 100);
-  const std::vector<obs::LogRecord> records = obs::Logger::global().tail(
-      static_cast<std::size_t>(limit), min_level, trace_id);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
-    json.key("count").value(static_cast<std::uint64_t>(records.size()));
-    json.key("lines").begin_array();
-    for (const obs::LogRecord& record : records) {
-      json.value(obs::format_log_line(record));
-    }
-    json.end_array();
   }));
 }
 

@@ -3,27 +3,24 @@
 /// `bgls_serve` (tools/): a JobScheduler fronted by an ndjson socket
 /// protocol (service/protocol.h) over a Unix-domain or TCP endpoint.
 ///
-/// One thread accepts connections; each connection gets a handler
-/// thread processing request lines until the peer disconnects (clients
-/// may pipeline many requests over one connection — submit, poll other
-/// jobs, stream, cancel). The daemon is embeddable: tests and
+/// The daemon is an op table over the shared line server
+/// (service/line_server.h), which owns the acceptor, the per-connection
+/// handler threads, dispatch, the error slugs, request metrics and the
+/// `logs`/`shutdown` ops. The daemon is embeddable: tests and
 /// examples/service_client.cpp start one in-process with start()/stop()
 /// and drive it through ServiceClient over a real socket, which is
 /// exactly the code path the standalone binary runs.
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "service/journal.h"
+#include "service/line_server.h"
 #include "service/report.h"
 #include "service/scheduler.h"
 #include "service/socket.h"
@@ -51,7 +48,7 @@ struct DaemonOptions {
   std::uint64_t slow_request_ms = 0;
 };
 
-/// The service process: scheduler + acceptor + per-connection handlers.
+/// The service process: scheduler + journal + the line server's op table.
 class ServiceDaemon {
  public:
   explicit ServiceDaemon(DaemonOptions options);
@@ -87,34 +84,24 @@ class ServiceDaemon {
   [[nodiscard]] JobScheduler& scheduler() { return scheduler_; }
 
  private:
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
+  /// The op table; responses (and stream progress lines) are written to
+  /// the connection socket directly.
+  [[nodiscard]] LineServer::Config line_server_config();
 
-  void accept_loop();
-  void handle_connection(Connection& connection);
-  /// Dispatches one request line. Responses (and stream progress
-  /// lines) are written to the connection socket directly.
-  void handle_line(const std::string& line, Socket& socket);
-
-  void handle_submit(const JsonValue& message, const std::string& line,
-                     Socket& socket);
-  void handle_status(const JsonValue& message, Socket& socket);
-  void handle_cancel(const JsonValue& message, Socket& socket);
-  void handle_result_or_wait(const JsonValue& message, Socket& socket,
-                             bool wait);
-  void handle_stream(const JsonValue& message, Socket& socket);
-  void handle_stats(Socket& socket);
+  using Request = LineServer::Request;
+  void handle_submit(const Request& request);
+  void handle_status(const Request& request);
+  void handle_cancel(const Request& request);
+  /// `result`, or `wait` (blocks until terminal or timeout_ms).
+  void handle_result_or_wait(const Request& request);
+  void handle_stream(const Request& request);
+  void handle_stats(const Request& request);
   /// Prometheus text exposition of the process-wide telemetry registry,
   /// embedded as the "metrics" string field of the response line.
-  void handle_metrics(Socket& socket);
+  void handle_metrics(const Request& request);
   /// The job's span tree ({"trace_id":...,"spans":[...]}); a fleet
   /// front stitches these worker spans with its own placement spans.
-  void handle_trace(const JsonValue& message, Socket& socket);
-  /// Tails the structured-log ring with level/trace filters.
-  void handle_logs(const JsonValue& message, Socket& socket);
+  void handle_trace(const Request& request);
 
   /// Sends the terminal-state response for a job ("result" shape: the
   /// canonical report on kDone, an error code otherwise). `type` tags
@@ -122,13 +109,9 @@ class ServiceDaemon {
   void send_result(const JobInfo& info, Socket& socket,
                    const std::string& type);
 
-  /// Joins and drops finished connections (called from the acceptor).
-  void reap_connections();
-
-  [[nodiscard]] std::uint64_t job_field(const JsonValue& message) const;
-
-  /// Terminal job restored from the journal at start() — answers
-  /// status/result/wait/stream for its id without re-running.
+  /// A terminal job's answer: the canonical report on kDone, the error
+  /// otherwise. Jobs restored from the journal at start() keep one, so
+  /// status/result/wait/stream answer for their ids without re-running.
   struct ReplayedResult {
     JobState state = JobState::kDone;
     std::string error;
@@ -136,6 +119,15 @@ class ServiceDaemon {
     std::string selection_reason;
     std::string report;
   };
+  /// Fills `out` for a terminal job; false when a done job's report
+  /// context was already evicted.
+  bool terminal_result(const JobInfo& info, ReplayedResult& out) const;
+  /// Writes `result` in the "result" shape for job `id`.
+  static void send_terminal(Socket& socket, const std::string& type,
+                            std::uint64_t id, const ReplayedResult& result);
+  /// The journal's "terminal" record for `result`.
+  static std::string terminal_record(std::uint64_t id,
+                                     const ReplayedResult& result);
 
   /// Installs the journal event hooks on options_.scheduler (must run
   /// before scheduler_ is constructed — see the member order below).
@@ -155,13 +147,6 @@ class ServiceDaemon {
   /// threads append through the hooks until ~JobScheduler joins them.
   Journal journal_;
   JobScheduler scheduler_;
-  ServerSocket server_;
-  std::thread acceptor_;
-  bool started_ = false;
-  std::atomic<bool> stopping_{false};
-
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
 
   /// Report contexts per job (the submit knobs echoed into the
   /// canonical report), kept daemon-side so `result` can rebuild the
@@ -173,9 +158,9 @@ class ServiceDaemon {
   mutable std::mutex replayed_mutex_;
   std::map<std::uint64_t, ReplayedResult> replayed_;
 
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
+  /// Last: its handler threads use every member above, and stop()
+  /// joins them before any of those is destroyed.
+  LineServer server_;
 };
 
 }  // namespace bgls::service

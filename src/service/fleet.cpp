@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -43,25 +44,6 @@ struct FleetMetrics {
     return metrics;
   }
 };
-
-template <typename Fill>
-std::string response_line(bool ok, Fill fill) {
-  std::ostringstream os;
-  JsonWriter json(os, JsonWriter::Style::kCompact);
-  json.begin_object();
-  json.key("ok").value(ok);
-  fill(json);
-  json.end_object();
-  os << "\n";
-  return os.str();
-}
-
-std::string error_line(const std::string& code, const std::string& message) {
-  return response_line(false, [&](JsonWriter& json) {
-    json.key("code").value(code);
-    json.key("error").value(message);
-  });
-}
 
 /// Re-emits a parsed JSON value (the proxy rewrites ids inside
 /// otherwise-opaque worker messages).
@@ -169,7 +151,17 @@ bool is_terminal_frame(const JsonValue& frame) {
 
 }  // namespace
 
-FleetDaemon::FleetDaemon(FleetOptions options) : options_(std::move(options)) {
+/// One proxy socket per worker for one client connection.
+struct FleetDaemon::WorkerLinks final : ConnectionContext {
+  std::vector<Socket> sockets;
+
+  static WorkerLinks& of(const LineServer::Request& request) {
+    return static_cast<WorkerLinks&>(*request.context);
+  }
+};
+
+FleetDaemon::FleetDaemon(FleetOptions options)
+    : options_(std::move(options)), server_(line_server_config()) {
   BGLS_REQUIRE(!options_.workers.empty(),
                "a fleet needs at least one --worker endpoint");
   workers_.reserve(options_.workers.size());
@@ -180,55 +172,59 @@ FleetDaemon::FleetDaemon(FleetOptions options) : options_(std::move(options)) {
   }
 }
 
+LineServer::Config FleetDaemon::line_server_config() {
+  const auto bind = [this](auto handler) {
+    return std::bind_front(handler, this);
+  };
+  LineServer::Config config;
+  config.name = "fleet";
+  config.slow_request_ms = options_.slow_request_ms;
+  config.ops = {
+      {"submit", bind(&FleetDaemon::handle_submit)},
+      {"status", bind(&FleetDaemon::handle_job_op)},
+      {"cancel", bind(&FleetDaemon::handle_job_op)},
+      {"result", bind(&FleetDaemon::handle_job_op)},
+      {"wait", bind(&FleetDaemon::handle_job_op)},
+      {"stream", bind(&FleetDaemon::handle_job_op)},
+      {"stats", bind(&FleetDaemon::handle_stats)},
+      {"metrics", bind(&FleetDaemon::handle_metrics)},
+      {"trace", bind(&FleetDaemon::handle_trace)},
+      {"fleet", bind(&FleetDaemon::handle_fleet)},
+      {"drain", bind(&FleetDaemon::handle_drain)},
+      {"undrain", bind(&FleetDaemon::handle_drain)},
+  };
+  config.make_context = [this]() -> std::unique_ptr<ConnectionContext> {
+    auto context = std::make_unique<WorkerLinks>();
+    context->sockets.resize(workers_.size());
+    return context;
+  };
+  config.job_trace_id = [this](std::uint64_t job) -> std::uint64_t {
+    const std::lock_guard<std::mutex> lock(routes_mutex_);
+    const auto it = routes_.find(job);
+    return it != routes_.end() && it->second.trace != nullptr
+               ? it->second.trace->id()
+               : 0;
+  };
+  return config;
+}
+
 FleetDaemon::~FleetDaemon() { stop(); }
 
 void FleetDaemon::start() {
-  server_.listen_on(options_.endpoint);
-  started_ = true;
+  server_.start(options_.endpoint);
   FleetMetrics::instance().live_workers.set(
       static_cast<std::int64_t>(workers_.size()));
-  acceptor_ = std::thread([this] { accept_loop(); });
   health_ = std::thread([this] { health_loop(); });
 }
 
 void FleetDaemon::stop() {
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  server_.close();
-  if (acceptor_.joinable()) acceptor_.join();
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();  // also wakes the health thread's sleep
+  server_.stop();  // also wakes the health thread's sleep
   if (health_.joinable()) health_.join();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (auto& connection : connections_) connection->socket.shutdown_both();
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections.swap(connections_);
-  }
-  for (auto& connection : connections) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  started_ = false;
 }
 
-void FleetDaemon::wait_for_shutdown() {
-  std::unique_lock<std::mutex> lock(shutdown_mutex_);
-  shutdown_cv_.wait(lock, [&] { return shutdown_requested_; });
-}
+void FleetDaemon::wait_for_shutdown() { server_.wait_for_shutdown(); }
 
-void FleetDaemon::request_shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(shutdown_mutex_);
-    shutdown_requested_ = true;
-  }
-  shutdown_cv_.notify_all();
-}
+void FleetDaemon::request_shutdown() { server_.request_shutdown(); }
 
 std::vector<FleetDaemon::WorkerStatus> FleetDaemon::workers() const {
   std::vector<WorkerStatus> out;
@@ -245,62 +241,22 @@ std::vector<FleetDaemon::WorkerStatus> FleetDaemon::workers() const {
   return out;
 }
 
-void FleetDaemon::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Socket socket = server_.accept();
-    if (!socket.valid()) break;  // close()d
-    reap_connections();
-    auto connection = std::make_unique<Connection>();
-    connection->socket = std::move(socket);
-    Connection* raw = connection.get();
-    connection->thread = std::thread([this, raw] { handle_connection(*raw); });
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::move(connection));
-  }
-}
-
-void FleetDaemon::reap_connections() {
-  const std::lock_guard<std::mutex> lock(connections_mutex_);
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void FleetDaemon::handle_connection(Connection& connection) {
-  // One proxy socket per worker per client connection, opened on first
-  // use: blocking ops (wait/stream) held by one client never stall
-  // another client's traffic to the same worker.
-  std::vector<std::unique_ptr<Socket>> links(workers_.size());
-  std::string line;
+std::string FleetDaemon::exchange(WorkerLinks& links, std::size_t worker,
+                                  const std::string& line) {
+  Socket& socket = links.sockets[worker];
   try {
-    while (connection.socket.read_line(line)) {
-      if (line.empty()) continue;
-      handle_line(line, connection.socket, links);
+    if (!socket.valid()) socket = connect_to(workers_[worker]->endpoint);
+    if (!line.empty()) socket.write_all(line);
+    std::string response;
+    if (!socket.read_line(response)) {
+      detail::throw_error<IoError>("worker closed the connection");
     }
+    return response;
   } catch (const IoError&) {
-    // Peer vanished mid-request/response — normal client churn.
+    workers_[worker]->alive.store(false, std::memory_order_release);
+    socket.close();
+    throw;
   }
-  connection.done.store(true, std::memory_order_release);
-}
-
-Socket& FleetDaemon::link(std::vector<std::unique_ptr<Socket>>& links,
-                          std::size_t worker) {
-  if (links[worker] == nullptr || !links[worker]->valid()) {
-    try {
-      links[worker] =
-          std::make_unique<Socket>(connect_to(workers_[worker]->endpoint));
-    } catch (const IoError&) {
-      workers_[worker]->alive.store(false, std::memory_order_release);
-      throw;
-    }
-  }
-  return *links[worker];
 }
 
 std::size_t FleetDaemon::pick_worker_locked() const {
@@ -322,67 +278,9 @@ std::size_t FleetDaemon::pick_worker_locked() const {
   return best;
 }
 
-void FleetDaemon::handle_line(const std::string& line, Socket& socket,
-                              std::vector<std::unique_ptr<Socket>>& links) {
-  JsonValue message;
-  try {
-    message = JsonValue::parse(line);
-  } catch (const ParseError& e) {
-    socket.write_all(error_line("parse_error", e.what()));
-    return;
-  }
-  const std::string op = message.string_or("op", "");
-  const auto request_start = std::chrono::steady_clock::now();
-  try {
-    if (op == "submit") {
-      handle_submit(message, line, socket, links);
-    } else if (op == "status" || op == "cancel" || op == "result" ||
-               op == "wait" || op == "stream") {
-      handle_job_op(message, socket, links);
-    } else if (op == "stats") {
-      handle_stats(socket, links);
-    } else if (op == "metrics") {
-      handle_metrics(socket, links);
-    } else if (op == "trace") {
-      handle_trace(message, socket, links);
-    } else if (op == "logs") {
-      handle_logs(message, socket);
-    } else if (op == "fleet") {
-      handle_fleet(socket);
-    } else if (op == "drain" || op == "undrain") {
-      handle_drain(message, socket, op == "drain");
-    } else if (op == "shutdown") {
-      socket.write_all(response_line(true, [](JsonWriter&) {}));
-      request_shutdown();
-    } else {
-      socket.write_all(error_line("unknown_op", "unknown op '" + op + "'"));
-    }
-  } catch (const IoError&) {
-    throw;  // client-side transport failure: let the handler loop exit
-  } catch (const std::exception& e) {
-    socket.write_all(error_line("bad_request", e.what()));
-  }
-  const double request_seconds = seconds_since(request_start);
-  if (options_.slow_request_ms > 0 &&
-      request_seconds * 1000.0 >=
-          static_cast<double>(options_.slow_request_ms)) {
-    const std::uint64_t job_id = message.u64_or("job", 0);
-    std::uint64_t trace_id = message.u64_or("trace_id", 0);
-    if (trace_id == 0 && job_id != 0) {
-      const std::lock_guard<std::mutex> lock(routes_mutex_);
-      const auto it = routes_.find(job_id);
-      if (it != routes_.end() && it->second.trace != nullptr) {
-        trace_id = it->second.trace->id();
-      }
-    }
-    obs::log(obs::LogLevel::kWarn, "fleet", "slow request",
-             {{"op", op}, {"ms", request_seconds * 1000.0}}, trace_id, job_id);
-  }
-}
-
-void FleetDaemon::handle_submit(const JsonValue& message,
-                                const std::string& line, Socket& socket,
-                                std::vector<std::unique_ptr<Socket>>& links) {
+void FleetDaemon::handle_submit(const Request& request) {
+  const JsonValue& message = request.message;
+  Socket& socket = request.socket;
   // Placement + id allocation under one lock so concurrent submits
   // spread out; the proxying itself runs unlocked. The global id is
   // allocated *before* the worker answers so it can double as the
@@ -409,7 +307,7 @@ void FleetDaemon::handle_submit(const JsonValue& message,
   // parent_span_id; the worker's queue/run spans stitch under it. A
   // client-supplied parent_span_id becomes fleet.place's own parent.
   std::shared_ptr<obs::Trace> trace;
-  std::string forward = line + "\n";
+  std::string forward = request.line + "\n";
   if constexpr (obs::kTelemetryCompiled) {
     const std::uint64_t client_trace = message.u64_or("trace_id", 0);
     const std::uint64_t client_parent = message.u64_or("parent_span_id", 0);
@@ -423,13 +321,8 @@ void FleetDaemon::handle_submit(const JsonValue& message,
   const auto place_start = std::chrono::steady_clock::now();
   std::string response_text;
   try {
-    Socket& worker = link(links, target);
-    worker.write_all(forward);
-    if (!worker.read_line(response_text)) {
-      detail::throw_error<IoError>("worker closed the connection");
-    }
+    response_text = exchange(WorkerLinks::of(request), target, forward);
   } catch (const IoError& e) {
-    workers_[target]->alive.store(false, std::memory_order_release);
     FleetMetrics::instance().worker_down.add();
     socket.write_all(error_line(
         "worker_down",
@@ -505,11 +398,10 @@ void FleetDaemon::note_finished(std::uint64_t global_id,
   }
 }
 
-void FleetDaemon::handle_job_op(const JsonValue& message, Socket& socket,
-                                std::vector<std::unique_ptr<Socket>>& links) {
-  const JsonValue* job = message.find("job");
-  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
-  const std::uint64_t global_id = job->as_u64();
+void FleetDaemon::proxy_job_op(const Request& request,
+                               const FrameHandler& on_frame) {
+  const std::uint64_t global_id = request.job();
+  Socket& socket = request.socket;
   Route route;
   {
     const std::lock_guard<std::mutex> lock(routes_mutex_);
@@ -522,61 +414,74 @@ void FleetDaemon::handle_job_op(const JsonValue& message, Socket& socket,
     }
     route = it->second;
   }
+  const Endpoint& endpoint = workers_[route.worker]->endpoint;
   if (!workers_[route.worker]->alive.load(std::memory_order_acquire)) {
     FleetMetrics::instance().worker_down.add();
     socket.write_all(error_line(
         "worker_down", "job " + std::to_string(global_id) + " lives on " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           ", which is down"));
+                           endpoint.to_string() + ", which is down"));
     return;
   }
-  try {
-    const auto proxy_start = std::chrono::steady_clock::now();
-    Socket& worker = link(links, route.worker);
-    worker.write_all(with_job_id(message, route.remote_id));
-    // stream answers with any number of progress frames before the
-    // final response; every other op answers exactly one line. A
-    // non-progress frame ends both shapes.
+  // Only the worker side of the exchange is guarded: a client that
+  // hangs up mid-stream ends this connection, not the worker's health.
+  std::string forward = with_job_id(request.message, route.remote_id);
+  while (true) {
     std::string frame_text;
-    while (worker.read_line(frame_text)) {
-      const JsonValue frame = JsonValue::parse(frame_text);
-      note_finished(global_id, frame, seconds_since(proxy_start));
-      socket.write_all(with_job_id(frame, global_id));
-      if (frame.string_or("type", "") != "progress") return;
+    try {
+      frame_text = exchange(WorkerLinks::of(request), route.worker, forward);
+    } catch (const IoError& e) {
+      FleetMetrics::instance().worker_down.add();
+      socket.write_all(error_line(
+          "worker_down", "worker " + endpoint.to_string() +
+                             " failed mid-request (" + e.what() + ")"));
+      return;
     }
-    detail::throw_error<IoError>("worker closed the connection");
-  } catch (const IoError& e) {
-    workers_[route.worker]->alive.store(false, std::memory_order_release);
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "worker " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           " failed mid-request (" + e.what() + ")"));
+    if (!on_frame(JsonValue::parse(frame_text), global_id, route)) return;
+    forward.clear();  // later stream frames follow unprompted
   }
 }
 
-void FleetDaemon::handle_stats(Socket& socket,
-                               std::vector<std::unique_ptr<Socket>>& links) {
+void FleetDaemon::handle_job_op(const Request& request) {
+  const auto proxy_start = std::chrono::steady_clock::now();
+  // stream answers with any number of progress frames before the final
+  // response; every other op answers exactly one line. A non-progress
+  // frame ends both shapes.
+  proxy_job_op(request, [&](const JsonValue& frame, std::uint64_t global_id,
+                            const Route&) {
+    note_finished(global_id, frame, seconds_since(proxy_start));
+    request.socket.write_all(with_job_id(frame, global_id));
+    return frame.string_or("type", "") == "progress";
+  });
+}
+
+std::vector<std::pair<std::size_t, JsonValue>> FleetDaemon::ask_live_workers(
+    const Request& request, const std::string& op) {
+  std::vector<std::pair<std::size_t, JsonValue>> responses;
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (!workers_[i]->alive.load(std::memory_order_acquire)) continue;
+    std::string response_text;
+    try {
+      response_text =
+          exchange(WorkerLinks::of(request), i, op_request_line(op));
+    } catch (const IoError&) {
+      continue;  // marked dead; it contributes nothing
+    }
+    JsonValue response = JsonValue::parse(response_text);
+    if (response.bool_or("ok", false)) {
+      responses.emplace_back(i, std::move(response));
+    }
+  }
+  return responses;
+}
+
+void FleetDaemon::handle_stats(const Request& request) {
   // Sum every live worker's counters; the per-backend / per-tenant
   // maps merge by key. Dead workers contribute nothing (their counts
   // come back when they do).
   std::map<std::string, std::uint64_t> totals;
   std::map<std::string, std::map<std::string, std::uint64_t>> maps;
-  std::size_t reachable = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i]->alive.load(std::memory_order_acquire)) continue;
-    std::string response_text;
-    try {
-      Socket& worker = link(links, i);
-      worker.write_all(op_request_line("stats"));
-      if (!worker.read_line(response_text)) continue;
-    } catch (const IoError&) {
-      workers_[i]->alive.store(false, std::memory_order_release);
-      continue;
-    }
-    const JsonValue response = JsonValue::parse(response_text);
-    if (!response.bool_or("ok", false)) continue;
-    ++reachable;
+  const auto responses = ask_live_workers(request, "stats");
+  for (const auto& [worker, response] : responses) {
     for (const auto& [key, value] : response.members()) {
       if (key == "ok") continue;
       if (value.kind() == JsonValue::Kind::kNumber) {
@@ -588,10 +493,10 @@ void FleetDaemon::handle_stats(Socket& socket,
       }
     }
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("workers").value(static_cast<std::uint64_t>(workers_.size()));
     json.key("workers_reachable").value(
-        static_cast<std::uint64_t>(reachable));
+        static_cast<std::uint64_t>(responses.size()));
     for (const auto& [key, value] : totals) json.key(key).value(value);
     for (const auto& [key, value] : maps) {
       json.key(key).begin_object();
@@ -601,30 +506,19 @@ void FleetDaemon::handle_stats(Socket& socket,
   }));
 }
 
-void FleetDaemon::handle_metrics(Socket& socket,
-                                 std::vector<std::unique_ptr<Socket>>& links) {
-  std::string text;
+void FleetDaemon::handle_metrics(const Request& request) {
+  // The fleet's own series first (no worker label — they describe the
+  // front). With telemetry compiled out that is the marker comment
+  // only, matching the workers' own exposition.
+  std::string text =
+      obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
   if constexpr (obs::kTelemetryCompiled) {
-    // The fleet's own series first (no worker label — they describe
-    // the front), then each live worker's scrape with worker="N"
-    // injected into every series line. HELP/TYPE headers repeat per
-    // family name; keep the first and drop duplicates so the merged
-    // exposition stays valid.
-    text = obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
+    // Then each live worker's scrape with worker="N" injected into
+    // every series line. HELP/TYPE headers repeat per family name;
+    // keep the first and drop duplicates so the merged exposition
+    // stays valid.
     std::set<std::string> seen_headers;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (!workers_[i]->alive.load(std::memory_order_acquire)) continue;
-      std::string response_text;
-      try {
-        Socket& worker = link(links, i);
-        worker.write_all(op_request_line("metrics"));
-        if (!worker.read_line(response_text)) continue;
-      } catch (const IoError&) {
-        workers_[i]->alive.store(false, std::memory_order_release);
-        continue;
-      }
-      const JsonValue response = JsonValue::parse(response_text);
-      if (!response.bool_or("ok", false)) continue;
+    for (const auto& [i, response] : ask_live_workers(request, "metrics")) {
       const std::string scrape = response.string_or("metrics", "");
       std::size_t start = 0;
       while (start < scrape.size()) {
@@ -644,107 +538,48 @@ void FleetDaemon::handle_metrics(Socket& socket,
         text += with_worker_label(line, i) + "\n";
       }
     }
-  } else {
-    // Marker comment only, matching the workers' own compiled-out
-    // exposition.
-    text = obs::to_prometheus(obs::MetricsRegistry::global().snapshot());
   }
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("metrics").value(text);
   }));
 }
 
-void FleetDaemon::handle_trace(const JsonValue& message, Socket& socket,
-                               std::vector<std::unique_ptr<Socket>>& links) {
-  const JsonValue* job = message.find("job");
-  BGLS_REQUIRE(job != nullptr, "request needs a 'job' field");
-  const std::uint64_t global_id = job->as_u64();
-  Route route;
-  {
-    const std::lock_guard<std::mutex> lock(routes_mutex_);
-    const auto it = routes_.find(global_id);
-    if (it == routes_.end()) {
-      socket.write_all(error_line(
-          "unknown_job", "unknown fleet job id " + std::to_string(global_id)));
-      return;
+void FleetDaemon::handle_trace(const Request& request) {
+  Socket& socket = request.socket;
+  proxy_job_op(request, [&](const JsonValue& response,
+                            std::uint64_t global_id, const Route& route) {
+    if (!response.bool_or("ok", false)) {
+      socket.write_all(with_job_id(response, global_id));
+      return false;
     }
-    route = it->second;
-  }
-  if (!workers_[route.worker]->alive.load(std::memory_order_acquire)) {
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "job " + std::to_string(global_id) + " lives on " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           ", which is down"));
-    return;
-  }
-  std::string response_text;
-  try {
-    Socket& worker = link(links, route.worker);
-    worker.write_all(job_request_line("trace", route.remote_id));
-    if (!worker.read_line(response_text)) {
-      detail::throw_error<IoError>("worker closed the connection");
+    // Stitch: worker spans + the route's fleet spans, one tree under one
+    // trace id, re-sorted into the canonical (name, index, id) order so
+    // the merged view is byte-stable.
+    std::vector<obs::SpanRecord> spans = parse_spans(response);
+    std::uint64_t trace_id = response.u64_or("trace_id", 0);
+    if (route.trace != nullptr) {
+      trace_id = route.trace->id();
+      const std::vector<obs::SpanRecord> fleet_spans = route.trace->spans();
+      spans.insert(spans.end(), fleet_spans.begin(), fleet_spans.end());
     }
-  } catch (const IoError& e) {
-    workers_[route.worker]->alive.store(false, std::memory_order_release);
-    FleetMetrics::instance().worker_down.add();
-    socket.write_all(error_line(
-        "worker_down", "worker " +
-                           workers_[route.worker]->endpoint.to_string() +
-                           " failed mid-request (" + e.what() + ")"));
-    return;
-  }
-  const JsonValue response = JsonValue::parse(response_text);
-  if (!response.bool_or("ok", false)) {
-    socket.write_all(with_job_id(response, global_id));
-    return;
-  }
-  // Stitch: worker spans + the route's fleet spans, one tree under one
-  // trace id, re-sorted into the canonical (name, index, id) order so
-  // the merged view is byte-stable.
-  std::vector<obs::SpanRecord> spans = parse_spans(response);
-  std::uint64_t trace_id = response.u64_or("trace_id", 0);
-  if (route.trace != nullptr) {
-    trace_id = route.trace->id();
-    const std::vector<obs::SpanRecord> fleet_spans = route.trace->spans();
-    spans.insert(spans.end(), fleet_spans.begin(), fleet_spans.end());
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
-              return std::tie(a.name, a.index, a.id) <
-                     std::tie(b.name, b.index, b.id);
-            });
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
-    json.key("job").value(global_id);
-    json.key("trace_id").value(trace_id);
-    json.key("spans");
-    write_spans(json, spans);
-  }));
+    std::sort(spans.begin(), spans.end(),
+              [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+                return std::tie(a.name, a.index, a.id) <
+                       std::tie(b.name, b.index, b.id);
+              });
+    socket.write_all(response_line(true, [&](JsonWriter& json) {
+      json.key("job").value(global_id);
+      json.key("trace_id").value(trace_id);
+      json.key("spans");
+      write_spans(json, spans);
+    }));
+    return false;
+  });
 }
 
-void FleetDaemon::handle_logs(const JsonValue& message, Socket& socket) {
-  const std::string level_name = message.string_or("level", "debug");
-  obs::LogLevel min_level = obs::LogLevel::kDebug;
-  BGLS_REQUIRE(obs::parse_log_level(level_name, &min_level),
-               "unknown log level '", level_name,
-               "' (expected debug/info/warn/error)");
-  const std::uint64_t trace_id = message.u64_or("trace_id", 0);
-  const std::uint64_t limit = message.u64_or("limit", 100);
-  const std::vector<obs::LogRecord> records = obs::Logger::global().tail(
-      static_cast<std::size_t>(limit), min_level, trace_id);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
-    json.key("count").value(static_cast<std::uint64_t>(records.size()));
-    json.key("lines").begin_array();
-    for (const obs::LogRecord& record : records) {
-      json.value(obs::format_log_line(record));
-    }
-    json.end_array();
-  }));
-}
-
-void FleetDaemon::handle_fleet(Socket& socket) {
+void FleetDaemon::handle_fleet(const Request& request) {
   const std::vector<WorkerStatus> status = workers();
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("workers").begin_array();
     for (std::size_t i = 0; i < status.size(); ++i) {
       json.begin_object();
@@ -760,30 +595,23 @@ void FleetDaemon::handle_fleet(Socket& socket) {
   }));
 }
 
-void FleetDaemon::handle_drain(const JsonValue& message, Socket& socket,
-                               bool drain) {
-  const JsonValue* worker = message.find("worker");
+void FleetDaemon::handle_drain(const Request& request) {
+  const bool drain = request.op == "drain";
+  const JsonValue* worker = request.message.find("worker");
   BGLS_REQUIRE(worker != nullptr, "drain/undrain needs a 'worker' index");
   const std::uint64_t index = worker->as_u64();
   BGLS_REQUIRE(index < workers_.size(), "worker index ", index,
                " out of range (", workers_.size(), " workers)");
   workers_[index]->draining.store(drain, std::memory_order_release);
-  socket.write_all(response_line(true, [&](JsonWriter& json) {
+  request.socket.write_all(response_line(true, [&](JsonWriter& json) {
     json.key("worker").value(index);
     json.key("draining").value(drain);
   }));
 }
 
 void FleetDaemon::health_loop() {
-  while (true) {
-    {
-      // The interruptible sleep: shutdown wakes it immediately.
-      std::unique_lock<std::mutex> lock(shutdown_mutex_);
-      if (shutdown_cv_.wait_for(lock, options_.health_interval,
-                                [&] { return shutdown_requested_; })) {
-        return;
-      }
-    }
+  // The interruptible sleep: shutdown wakes it immediately.
+  while (!server_.wait_for_shutdown(options_.health_interval)) {
     std::int64_t live = 0;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       Worker& worker = *workers_[i];

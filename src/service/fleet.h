@@ -30,21 +30,27 @@
 ///
 /// `shutdown` stops the fleet front only — workers have their own
 /// lifecycles (that is what draining is for).
+///
+/// The fleet is an op table over the shared line server
+/// (service/line_server.h); each client connection's context holds its
+/// proxy sockets to the workers.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
+#include "service/line_server.h"
 #include "service/socket.h"
 #include "util/json_parser.h"
 
@@ -64,8 +70,8 @@ struct FleetOptions {
   std::uint64_t slow_request_ms = 0;
 };
 
-/// The fleet process: acceptor + per-connection proxy handlers + health
-/// checker (see file comment).
+/// The fleet process: the line server's op table + health checker (see
+/// file comment).
 class FleetDaemon {
  public:
   explicit FleetDaemon(FleetOptions options);
@@ -132,45 +138,47 @@ class FleetDaemon {
     std::shared_ptr<obs::Trace> trace;
   };
 
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
+  /// A client connection's proxy sockets, one per worker, each
+  /// connected on first use: blocking ops (wait/stream) held by one
+  /// client never stall another client's traffic to the same worker.
+  struct WorkerLinks;
+  using Request = LineServer::Request;
+  /// Receives each worker frame of a proxied job op; returns true while
+  /// more frames follow (stream progress).
+  using FrameHandler = std::function<bool(
+      const JsonValue& frame, std::uint64_t global_id, const Route& route)>;
 
-  /// A connection handler's lazily opened sockets to workers (one
-  /// proxy connection per (client connection, worker)).
-  class WorkerLink;
-
-  void accept_loop();
-  void handle_connection(Connection& connection);
-  void handle_line(const std::string& line, Socket& socket,
-                   std::vector<std::unique_ptr<Socket>>& links);
-  void handle_submit(const JsonValue& message, const std::string& line,
-                     Socket& socket,
-                     std::vector<std::unique_ptr<Socket>>& links);
-  void handle_job_op(const JsonValue& message, Socket& socket,
-                     std::vector<std::unique_ptr<Socket>>& links);
-  void handle_stats(Socket& socket,
-                    std::vector<std::unique_ptr<Socket>>& links);
+  /// The op table (see file comment).
+  [[nodiscard]] LineServer::Config line_server_config();
+  void handle_submit(const Request& request);
+  /// status/cancel/result/wait/stream, proxied to the owning worker.
+  void handle_job_op(const Request& request);
+  void handle_stats(const Request& request);
   /// Fleet-wide Prometheus scrape: every live worker's exposition with
   /// a worker="N" label injected into each series, plus the fleet's
   /// own registry — one scrape sees the whole fleet.
-  void handle_metrics(Socket& socket,
-                      std::vector<std::unique_ptr<Socket>>& links);
+  void handle_metrics(const Request& request);
   /// The merged span tree: the route's fleet spans stitched with the
   /// owning worker's spans under one trace id.
-  void handle_trace(const JsonValue& message, Socket& socket,
-                    std::vector<std::unique_ptr<Socket>>& links);
-  /// Tails the fleet front's own structured-log ring.
-  void handle_logs(const JsonValue& message, Socket& socket);
-  void handle_fleet(Socket& socket);
-  void handle_drain(const JsonValue& message, Socket& socket, bool drain);
+  void handle_trace(const Request& request);
+  void handle_fleet(const Request& request);
+  /// drain/undrain {"worker":N}.
+  void handle_drain(const Request& request);
   void health_loop();
-  /// The handler's socket to `worker`, connected on first use. Throws
-  /// IoError when the worker cannot be reached (marks it dead).
-  Socket& link(std::vector<std::unique_ptr<Socket>>& links,
-               std::size_t worker);
+  /// Proxies a job-addressed op to the owning worker with the job id
+  /// translated, handing each worker frame to `on_frame`. Answers
+  /// unknown_job (no route) and worker_down (dead or failing worker)
+  /// itself.
+  void proxy_job_op(const Request& request, const FrameHandler& on_frame);
+  /// The ok answers of every live worker to `op`, by worker index.
+  std::vector<std::pair<std::size_t, JsonValue>> ask_live_workers(
+      const Request& request, const std::string& op);
+  /// Sends `line` (nothing when empty: the next frame of a stream) to
+  /// `worker` over this connection's link and reads one response line.
+  /// On an IO failure the worker is marked dead, the link dropped (the
+  /// next exchange reconnects) and IoError rethrown.
+  std::string exchange(WorkerLinks& links, std::size_t worker,
+                       const std::string& line);
   /// Least-loaded live undrained worker, or npos.
   [[nodiscard]] std::size_t pick_worker_locked() const;
   /// Marks a terminal proxied response against the route's in_flight
@@ -179,15 +187,9 @@ class FleetDaemon {
   /// observed the terminal state).
   void note_finished(std::uint64_t global_id, const JsonValue& response,
                      double proxy_seconds);
-  void reap_connections();
 
   FleetOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  ServerSocket server_;
-  std::thread acceptor_;
-  std::thread health_;
-  bool started_ = false;
-  std::atomic<bool> stopping_{false};
 
   mutable std::mutex routes_mutex_;
   std::map<std::uint64_t, Route> routes_;
@@ -195,12 +197,10 @@ class FleetDaemon {
   /// Round-robin cursor for placement ties.
   std::size_t placement_cursor_ = 0;
 
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-
-  std::mutex shutdown_mutex_;
-  std::condition_variable shutdown_cv_;
-  bool shutdown_requested_ = false;
+  /// After the state its handler threads use; stop() joins them first.
+  LineServer server_;
+  /// Sleeps on server_'s shutdown wait between health rounds.
+  std::thread health_;
 };
 
 }  // namespace bgls::service

@@ -33,8 +33,26 @@
 /// result-cache identity.
 ///
 /// Every response carries "ok" (bool); failures add "code" (a stable
-/// slug: parse_error/unknown_op/unknown_job/queue_full/not_done/
-/// cancelled/timeout/failed) and "error" (a human-readable message).
+/// slug) and "error" (a human-readable message). The slugs:
+///
+///   parse_error   — the line (or a field inside it) is not valid JSON/QASM
+///   unknown_op    — no such op on this server
+///   bad_request   — any other rejected request: missing or mistyped
+///                   fields, capability errors, an unknown job on a daemon
+///   unknown_job   — an evicted job on a daemon, any unknown job on a fleet
+///   queue_full    — admission queue at capacity (retryable)
+///   tenant_quota  — the tenant's queued/running cap is hit (retryable)
+///   over_budget   — predicted cost over the job or backlog budget
+///   journal_error — the write-ahead journal failed (retryable)
+///   worker_down   — a fleet's owning worker is dead or failed (retryable)
+///   not_done      — result/wait for a job that is not terminal yet
+///   cancelled / timeout / failed — the job's terminal state
+///
+/// The line server (service/line_server.h) answers parse_error and
+/// unknown_op, and maps handler exceptions onto queue_full,
+/// tenant_quota, over_budget, journal_error, parse_error or
+/// bad_request in one table; the ops answer the rest themselves.
+///
 /// `result`/`wait` responses embed the canonical bgls_run report
 /// (service/report.h) as an escaped string in "report", so clients can
 /// reproduce the CLI's byte-exact output. Job lifecycle states on the

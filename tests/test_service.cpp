@@ -5,7 +5,9 @@
 /// standalone bgls_serve/bgls_client binaries run. Pins the acceptance
 /// contract: daemon reports byte-identical to the CLI path, bounded
 /// cancellation, deadline → timeout, deterministic streaming, and
-/// protocol error handling. Runs under TSan in CI.
+/// protocol error handling. The protocol-error and stop cases also run
+/// against a FleetDaemon front, since both servers share one line
+/// server (service/line_server.h). Runs under TSan in CI.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "qasm/qasm.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/fleet.h"
 #include "service/journal.h"
 #include "service/report.h"
 #include "util/json_writer.h"
@@ -219,8 +223,83 @@ TEST_F(ServiceTest, StatsEndpointCounts) {
   EXPECT_EQ(stabilizer->as_u64(), 1u);
 }
 
-TEST_F(ServiceTest, ProtocolErrorsKeepConnectionUsable) {
-  ServiceClient client(daemon_->endpoint());
+/// The two servers over the shared line loop (service/line_server.h).
+/// Each starts its stack on private sockets and names the slug it
+/// answers for an unknown job id: the daemon's scheduler lookup throws
+/// (bad_request), the fleet answers from its route table (unknown_job).
+struct DaemonServer {
+  static constexpr const char* kUnknownJobCode = "bad_request";
+
+  explicit DaemonServer(std::uint64_t slow_request_ms = 0) {
+    DaemonOptions options;
+    options.endpoint = Endpoint::unix_socket(unique_socket_path());
+    options.scheduler.max_concurrent_jobs = 2;
+    options.slow_request_ms = slow_request_ms;
+    daemon = std::make_unique<ServiceDaemon>(options);
+    daemon->start();
+  }
+  [[nodiscard]] const Endpoint& endpoint() const { return daemon->endpoint(); }
+  void stop() { daemon->stop(); }
+
+  std::unique_ptr<ServiceDaemon> daemon;
+};
+
+/// One worker daemon behind a fleet front; stop() stops the front.
+/// `slow_request_ms` applies to the front only.
+struct FleetServer {
+  static constexpr const char* kUnknownJobCode = "unknown_job";
+
+  explicit FleetServer(std::uint64_t slow_request_ms = 0) {
+    FleetOptions options;
+    options.endpoint = Endpoint::unix_socket(unique_socket_path());
+    options.workers.push_back(worker.endpoint());
+    options.slow_request_ms = slow_request_ms;
+    fleet = std::make_unique<FleetDaemon>(options);
+    fleet->start();
+  }
+  [[nodiscard]] const Endpoint& endpoint() const { return fleet->endpoint(); }
+  void stop() { fleet->stop(); }
+
+  DaemonServer worker;  // declared first: outlives the front
+  std::unique_ptr<FleetDaemon> fleet;
+};
+
+enum class ServerKind { kDaemon, kFleet };
+
+// Names the parameter in test listings ("/Daemon", "/Fleet").
+void PrintTo(ServerKind kind, std::ostream* os) {
+  *os << (kind == ServerKind::kDaemon ? "Daemon" : "Fleet");
+}
+
+/// Runs each case against a daemon and against a fleet front.
+class ServerProtocolTest : public ::testing::TestWithParam<ServerKind> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == ServerKind::kDaemon) {
+      daemon_ = std::make_unique<DaemonServer>();
+    } else {
+      fleet_ = std::make_unique<FleetServer>();
+    }
+  }
+  [[nodiscard]] const Endpoint& endpoint() const {
+    return daemon_ ? daemon_->endpoint() : fleet_->endpoint();
+  }
+  [[nodiscard]] const char* unknown_job_code() const {
+    return daemon_ ? DaemonServer::kUnknownJobCode
+                   : FleetServer::kUnknownJobCode;
+  }
+  void stop() { daemon_ ? daemon_->stop() : fleet_->stop(); }
+
+  std::unique_ptr<DaemonServer> daemon_;
+  std::unique_ptr<FleetServer> fleet_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Servers, ServerProtocolTest,
+                         ::testing::Values(ServerKind::kDaemon,
+                                           ServerKind::kFleet));
+
+TEST_P(ServerProtocolTest, ProtocolErrorsKeepConnectionUsable) {
+  ServiceClient client(endpoint());
   // Malformed JSON.
   JsonValue response = client.roundtrip("this is not json\n");
   EXPECT_FALSE(response.bool_or("ok", true));
@@ -230,7 +309,7 @@ TEST_F(ServiceTest, ProtocolErrorsKeepConnectionUsable) {
   EXPECT_EQ(response.string_or("code", ""), "unknown_op");
   // Unknown job.
   response = client.roundtrip("{\"op\":\"status\",\"job\":12345}\n");
-  EXPECT_EQ(response.string_or("code", ""), "bad_request");
+  EXPECT_EQ(response.string_or("code", ""), unknown_job_code());
   // Malformed QASM in submit.
   response = client.roundtrip(
       "{\"op\":\"submit\",\"qasm\":\"OPENQASM 9;\"}\n");
@@ -243,6 +322,73 @@ TEST_F(ServiceTest, ProtocolErrorsKeepConnectionUsable) {
   args.qasm = kX0Qasm;
   args.repetitions = 16;
   EXPECT_EQ(client.wait_report(client.submit(args)), direct_report(args));
+}
+
+TEST_P(ServerProtocolTest, StopWhileClientBlockedInWaitIsClean) {
+  ServiceClient client(endpoint());
+  SubmitArgs big;
+  big.qasm = kGhzQasm;
+  big.repetitions = 500'000'000ULL;
+  big.no_batch = true;
+  const std::uint64_t job = client.submit(big);
+  // Bounded wait: a fleet front's handler follows the worker's wait on
+  // its proxy socket, which the front's stop does not interrupt.
+  std::thread waiter([&] {
+    try {
+      const JsonValue response = client.wait(job, 2000);
+      EXPECT_EQ(response.string_or("code", ""), "not_done");
+    } catch (const IoError&) {
+      // stop() closed the connection before the answer went out.
+    }
+  });
+  std::this_thread::sleep_for(100ms);
+  const auto start = std::chrono::steady_clock::now();
+  stop();
+  waiter.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+}
+
+TEST(FleetProtocol, NonStringOpAnswersBadRequest) {
+  FleetServer server;
+  ServiceClient client(server.endpoint());
+  const JsonValue response = client.roundtrip("{\"op\":5}\n");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  EXPECT_EQ(response.string_or("code", ""), "bad_request");
+  SubmitArgs args;
+  args.qasm = kX0Qasm;
+  args.repetitions = 16;
+  EXPECT_EQ(client.wait_report(client.submit(args)), direct_report(args));
+}
+
+/// A slow request whose trace_id is not a number: the slow-request log
+/// must fall back to logging without correlation, on both servers.
+template <typename Server>
+void expect_slow_wait_with_bad_trace_id_answers(Server& server) {
+  ServiceClient client(server.endpoint());
+  SubmitArgs big;
+  big.qasm = kGhzQasm;
+  big.repetitions = 500'000'000ULL;
+  big.no_batch = true;
+  const std::uint64_t job = client.submit(big);
+  // 20 ms of waiting makes the request slower than the 1 ms threshold
+  // on every host.
+  const JsonValue response = client.roundtrip(
+      "{\"op\":\"wait\",\"job\":" + std::to_string(job) +
+      ",\"timeout_ms\":20,\"trace_id\":\"x\"}\n");
+  EXPECT_FALSE(response.bool_or("ok", true));
+  EXPECT_EQ(response.string_or("code", ""), "not_done");
+  EXPECT_TRUE(client.cancel(job));
+  EXPECT_TRUE(client.stats().bool_or("ok", false));  // still serving
+}
+
+TEST(SlowRequestLog, NonNumericTraceIdOnDaemon) {
+  DaemonServer server(/*slow_request_ms=*/1);
+  expect_slow_wait_with_bad_trace_id_answers(server);
+}
+
+TEST(SlowRequestLog, NonNumericTraceIdOnFleet) {
+  FleetServer server(/*slow_request_ms=*/1);
+  expect_slow_wait_with_bad_trace_id_answers(server);
 }
 
 class TinyQueueServiceTest : public ServiceTest {

@@ -13,14 +13,11 @@
 /// returns the byte-identical report. Extra fleet-only ops: `fleet`
 /// (per-worker health), `drain`/`undrain` ({"worker":N}).
 
-#include <csignal>
-#include <atomic>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "cli_flags.h"
-#include "obs/log.h"
+#include "server_process.h"
 #include "service/fleet.h"
 #include "util/error.h"
 
@@ -28,7 +25,9 @@ namespace {
 
 using namespace bgls;
 using namespace bgls::service;
+using tools::configure_logging;
 using tools::parse_u64_flag;
+using tools::SignalWatcher;
 
 struct FleetToolOptions {
   std::string listen = "unix:/tmp/bgls.sock";
@@ -37,62 +36,6 @@ struct FleetToolOptions {
   std::string log_file;             // "" = log to stderr
   std::string log_level = "info";
   std::uint64_t slow_ms = 0;        // 0 = no slow-request log lines
-};
-
-/// Watches for SIGTERM/SIGINT/SIGHUP (blocked on every thread; polled
-/// with sigtimedwait so the watcher can also exit on normal shutdown).
-/// TERM/INT trigger the fleet's graceful-exit path; HUP reopens the
-/// structured-log file so external rotation works.
-class SignalWatcher {
- public:
-  /// Blocks the watched signals on the calling thread. Must run before
-  /// any other thread exists — masks are inherited at thread creation,
-  /// so a thread spawned earlier (e.g. by a daemon constructor) is a
-  /// valid delivery target whose default disposition kills the process.
-  static void block_signals() {
-    sigset_t set = watched_set();
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-  }
-
-  explicit SignalWatcher(FleetDaemon& fleet) : set_(watched_set()) {
-    pthread_sigmask(SIG_BLOCK, &set_, nullptr);
-    thread_ = std::thread([this, &fleet] {
-      const timespec poll_interval{0, 200 * 1000 * 1000};  // 200ms
-      while (!done_.load(std::memory_order_acquire)) {
-        const int sig = sigtimedwait(&set_, nullptr, &poll_interval);
-        if (sig == SIGHUP) {
-          obs::Logger::global().reopen();
-          continue;
-        }
-        if (sig == SIGTERM || sig == SIGINT) {
-          std::cout << "bgls_fleet: caught "
-                    << (sig == SIGTERM ? "SIGTERM" : "SIGINT")
-                    << ", shutting down gracefully" << std::endl;
-          fleet.request_shutdown();
-          return;
-        }
-      }
-    });
-  }
-
-  ~SignalWatcher() {
-    done_.store(true, std::memory_order_release);
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  static sigset_t watched_set() {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGTERM);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGHUP);
-    return set;
-  }
-
-  sigset_t set_{};
-  std::atomic<bool> done_{false};
-  std::thread thread_;
 };
 
 void print_usage(std::ostream& os) {
@@ -169,17 +112,7 @@ int main(int argc, char** argv) {
   try {
     if (!parse_args(argc, argv, options)) return 0;
 
-    obs::LogLevel log_level = obs::LogLevel::kInfo;
-    BGLS_REQUIRE(obs::parse_log_level(options.log_level, &log_level),
-                 "unknown --log-level '", options.log_level,
-                 "' (expected debug/info/warn/error)");
-    obs::Logger::global().set_level(log_level);
-    if (options.log_file.empty()) {
-      obs::Logger::global().set_stderr_sink(true);
-    } else {
-      BGLS_REQUIRE(obs::Logger::global().open_file(options.log_file),
-                   "cannot open --log-file '", options.log_file, "'");
-    }
+    configure_logging(options.log_level, options.log_file);
 
     FleetOptions fleet_options;
     fleet_options.endpoint = Endpoint::parse(options.listen);
@@ -195,7 +128,8 @@ int main(int argc, char** argv) {
     // (process-killing) disposition.
     SignalWatcher::block_signals();
     FleetDaemon fleet(fleet_options);
-    const SignalWatcher signals(fleet);
+    const SignalWatcher signals("bgls_fleet",
+                                [&] { fleet.request_shutdown(); });
     fleet.start();
     std::cout << "bgls_fleet: listening on " << fleet.endpoint().to_string()
               << " (" << options.workers.size() << " workers)" << std::endl;

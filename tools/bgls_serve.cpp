@@ -16,19 +16,16 @@
 /// restart replays the log and resumes incomplete jobs from their last
 /// checkpoint.
 
-#include <csignal>
-#include <atomic>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "api/session.h"
 #include "cli_flags.h"
 #include "obs/exposition.h"
-#include "obs/log.h"
+#include "server_process.h"
 #include "service/daemon.h"
 #include "util/error.h"
 
@@ -36,9 +33,11 @@ namespace {
 
 using namespace bgls;
 using namespace bgls::service;
+using tools::configure_logging;
 using tools::parse_double_flag;
 using tools::parse_tenant_flag;
 using tools::parse_u64_flag;
+using tools::SignalWatcher;
 
 struct ServeOptions {
   std::string listen = "unix:/tmp/bgls.sock";
@@ -57,63 +56,6 @@ struct ServeOptions {
   std::string log_file;             // "" = log to stderr
   std::string log_level = "info";
   std::uint64_t slow_ms = 0;        // 0 = no slow-request log lines
-};
-
-/// Watches for SIGTERM/SIGINT/SIGHUP (blocked on every thread; polled
-/// with sigtimedwait so the watcher can also exit on normal shutdown).
-/// TERM/INT trigger the daemon's graceful-exit path; HUP reopens the
-/// structured-log file so external rotation works.
-class SignalWatcher {
- public:
-  /// Blocks the watched signals on the calling thread. Must run before
-  /// any other thread exists — masks are inherited at thread creation,
-  /// and ServiceDaemon's *constructor* already spawns scheduler runner
-  /// threads; a thread with the default mask is a valid delivery target
-  /// whose default disposition kills the whole process.
-  static void block_signals() {
-    sigset_t set = watched_set();
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
-  }
-
-  explicit SignalWatcher(ServiceDaemon& daemon) : set_(watched_set()) {
-    pthread_sigmask(SIG_BLOCK, &set_, nullptr);
-    thread_ = std::thread([this, &daemon] {
-      const timespec poll_interval{0, 200 * 1000 * 1000};  // 200ms
-      while (!done_.load(std::memory_order_acquire)) {
-        const int sig = sigtimedwait(&set_, nullptr, &poll_interval);
-        if (sig == SIGHUP) {
-          obs::Logger::global().reopen();
-          continue;
-        }
-        if (sig == SIGTERM || sig == SIGINT) {
-          std::cout << "bgls_serve: caught "
-                    << (sig == SIGTERM ? "SIGTERM" : "SIGINT")
-                    << ", shutting down gracefully" << std::endl;
-          daemon.request_shutdown();
-          return;
-        }
-      }
-    });
-  }
-
-  ~SignalWatcher() {
-    done_.store(true, std::memory_order_release);
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  static sigset_t watched_set() {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGTERM);
-    sigaddset(&set, SIGINT);
-    sigaddset(&set, SIGHUP);
-    return set;
-  }
-
-  sigset_t set_{};
-  std::atomic<bool> done_{false};
-  std::thread thread_;
 };
 
 void print_usage(std::ostream& os) {
@@ -236,17 +178,7 @@ int main(int argc, char** argv) {
   try {
     if (!parse_args(argc, argv, options)) return 0;
 
-    obs::LogLevel log_level = obs::LogLevel::kInfo;
-    BGLS_REQUIRE(obs::parse_log_level(options.log_level, &log_level),
-                 "unknown --log-level '", options.log_level,
-                 "' (expected debug/info/warn/error)");
-    obs::Logger::global().set_level(log_level);
-    if (options.log_file.empty()) {
-      obs::Logger::global().set_stderr_sink(true);
-    } else {
-      BGLS_REQUIRE(obs::Logger::global().open_file(options.log_file),
-                   "cannot open --log-file '", options.log_file, "'");
-    }
+    configure_logging(options.log_level, options.log_file);
 
     DaemonOptions daemon_options;
     daemon_options.endpoint = Endpoint::parse(options.listen);
@@ -274,7 +206,8 @@ int main(int argc, char** argv) {
     // take the process down before the watcher ever sees it.
     SignalWatcher::block_signals();
     ServiceDaemon daemon(daemon_options);
-    const SignalWatcher signals(daemon);
+    const SignalWatcher signals("bgls_serve",
+                                [&] { daemon.request_shutdown(); });
     daemon.start();
     std::cout << "bgls_serve: listening on "
               << daemon.endpoint().to_string() << " (jobs=" << options.jobs

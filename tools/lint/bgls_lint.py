@@ -86,6 +86,7 @@ NONDET_ALLOWED_PREFIXES = (
     "src/service/scheduler",    # queue-wait / runtime accounting
     "src/service/daemon.",      # journal-replay + uptime accounting
     "src/service/fleet.",       # placement/proxy span + health timing
+    "src/service/line_server.",  # request latency + slow-request log
     "src/api/session.",         # per-run elapsed-seconds reporting
     "src/engine/engine.h",      # shard timer (progress heartbeats)
     "src/statevector/kernels.cpp",  # kernel progress heartbeat

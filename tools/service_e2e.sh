@@ -492,6 +492,11 @@ if [ -n "$FLEET" ]; then
       || fail 'fleet metrics missing worker="1" series'
     grep -q '^bgls_fleet_' "$WORK/fleet_metrics.txt" \
       || fail "fleet metrics missing the front's own series"
+    # The front runs the same line server as the daemon, with the same
+    # per-op request series under its own prefix.
+    grep -q '^bgls_fleet_requests_total{op="submit"} ' \
+      "$WORK/fleet_metrics.txt" \
+      || fail 'fleet metrics missing bgls_fleet_requests_total{op="submit"}'
 
     TRACE_ID=424242
     # The batched GHZ job runs as the engine's one dictionary shard, so
