@@ -3,6 +3,7 @@
 /// the paper's f(n, d) cost model (Secs. 2, 4.1.2, 4.3.3):
 ///  - statevector apply/probability (f dominated by 2^n gate kernels,
 ///    O(1) probability lookups),
+///  - density-matrix applies (the same kernels over 4^n entries),
 ///  - CH-form Clifford updates and the O(n²)-class amplitude (bit-packed
 ///    to O(n) word operations at n ≤ 63), independent of depth,
 ///  - MPS two-qubit splits and reduced-network amplitudes (O(n·χ³)),
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "circuit/random.h"
+#include "densitymatrix/state.h"
 #include "mps/state.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -146,6 +148,39 @@ void BM_StateVector_ApplyT_Generic(benchmark::State& state) {
   apply_t_body<true>(state);
 }
 BENCHMARK(BM_StateVector_ApplyT_Generic)->Arg(8)->Arg(20);
+
+// Density-matrix applies: ρ → U ρ U† over the 4^n entries of ρ. Only
+// the public DensityMatrixState API, so the rows compare across
+// implementations of apply.
+void BM_DensityMatrix_ApplyH(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  DensityMatrixState rho(n);
+  const std::vector<Operation> ops = per_qubit_ops(n, [](Qubit q) {
+    return h(q);
+  });
+  std::size_t q = 0;
+  for (auto _ : state) {
+    rho.apply(ops[q]);
+    benchmark::DoNotOptimize(rho);
+    q = (q + 1) % ops.size();
+  }
+}
+BENCHMARK(BM_DensityMatrix_ApplyH)->Arg(6)->Arg(10);
+
+void BM_DensityMatrix_ApplyCnot(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  DensityMatrixState rho(n);
+  rho.apply(h(0));
+  std::vector<Operation> ops;
+  for (int q = 0; q < n; ++q) ops.push_back(cnot(q, (q + 1) % n));
+  std::size_t q = 0;
+  for (auto _ : state) {
+    rho.apply(ops[q]);
+    benchmark::DoNotOptimize(rho);
+    q = (q + 1) % ops.size();
+  }
+}
+BENCHMARK(BM_DensityMatrix_ApplyCnot)->Arg(6)->Arg(10);
 
 // The gate-classification cache, measured directly: a cold compile
 // (matrix construction + structural classification, what every apply

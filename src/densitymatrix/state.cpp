@@ -2,26 +2,22 @@
 
 #include <cmath>
 
+#include "statevector/kernels.h"
 #include "util/error.h"
 
 namespace bgls {
 namespace {
 
-/// Builds the full 2^n x 2^n embedding of a gate-local matrix. Density
-/// matrices are quadratically bigger than statevectors, so the simple
-/// "embed and multiply rows/columns" strategy is acceptable for the
-/// register sizes this backend is used at (reference simulations).
-void embed_indices(std::span<const Qubit> qubits, std::size_t local,
-                   std::size_t& mask_out, std::size_t& value_out) {
-  std::size_t mask = 0;
-  std::size_t value = 0;
-  const std::size_t k = qubits.size();
-  for (std::size_t j = 0; j < k; ++j) {
-    mask |= std::size_t{1} << qubits[j];
-    if ((local >> (k - 1 - j)) & 1u) value |= std::size_t{1} << qubits[j];
+/// ρ is row-major, so as the 2n-qubit vector vec(ρ) its row qubit q is
+/// bit q + n and its column qubit q is bit q. Returns the row bits of
+/// `qubits`, rejecting qubits outside the register.
+std::vector<Qubit> row_bits(std::span<const Qubit> qubits, int num_qubits) {
+  std::vector<Qubit> bits;
+  for (const Qubit q : qubits) {
+    BGLS_REQUIRE(q >= 0 && q < num_qubits, "qubit ", q, " out of range");
+    bits.push_back(q + num_qubits);
   }
-  mask_out = mask;
-  value_out = value;
+  return bits;
 }
 
 }  // namespace
@@ -45,63 +41,25 @@ void DensityMatrixState::apply(const Operation& op) {
   const Gate& gate = op.gate();
   BGLS_REQUIRE(gate.is_unitary(), "cannot apply non-unitary '", gate.name(),
                "' directly");
-  // The memoized gate matrix (Gate::compiled_unitary) skips rebuilding
-  // the unitary per apply; this backend has no kernel dispatch, so only
-  // the matrix half of the cache is consumed.
-  apply_matrix(gate.compiled_unitary()->matrix, op.qubits());
+  // The row pass reuses the gate's memoized classification.
+  const std::shared_ptr<const kernels::CompiledMatrix> compiled =
+      gate.compiled_unitary();
+  kernels::apply_matrix(rho_, 2 * num_qubits_, *compiled,
+                        row_bits(op.qubits(), num_qubits_));
+  kernels::apply_matrix(rho_, 2 * num_qubits_,
+                        compiled->matrix.adjoint().transpose(), op.qubits());
 }
 
 void DensityMatrixState::apply_matrix(const Matrix& m,
                                       std::span<const Qubit> qubits) {
-  const std::size_t k = qubits.size();
-  const std::size_t block = std::size_t{1} << k;
+  const std::size_t block = std::size_t{1} << qubits.size();
   BGLS_REQUIRE(m.rows() == block && m.cols() == block,
                "matrix dimension does not match qubit count");
-  for (const Qubit q : qubits) {
-    BGLS_REQUIRE(q >= 0 && q < num_qubits_, "qubit ", q, " out of range");
-  }
-  std::size_t support_mask = 0, ignored = 0;
-  embed_indices(qubits, block - 1, support_mask, ignored);
-
-  // Precompute local index embeddings.
-  std::vector<std::size_t> local_bits(block);
-  for (std::size_t local = 0; local < block; ++local) {
-    std::size_t mask = 0;
-    embed_indices(qubits, local, mask, local_bits[local]);
-  }
-
-  // Left multiply: rows mix within each column. rho <- M rho.
-  std::vector<Complex> scratch(block);
-  for (std::size_t col = 0; col < dim_; ++col) {
-    for (std::size_t base = 0; base < dim_; ++base) {
-      if ((base & support_mask) != 0) continue;
-      for (std::size_t l = 0; l < block; ++l) {
-        scratch[l] = rho_[(base | local_bits[l]) * dim_ + col];
-      }
-      for (std::size_t r = 0; r < block; ++r) {
-        Complex acc{0.0, 0.0};
-        for (std::size_t c = 0; c < block; ++c) acc += m(r, c) * scratch[c];
-        rho_[(base | local_bits[r]) * dim_ + col] = acc;
-      }
-    }
-  }
-  // Right multiply: rho <- rho M†.
-  for (std::size_t row = 0; row < dim_; ++row) {
-    Complex* row_data = &rho_[row * dim_];
-    for (std::size_t base = 0; base < dim_; ++base) {
-      if ((base & support_mask) != 0) continue;
-      for (std::size_t l = 0; l < block; ++l) {
-        scratch[l] = row_data[base | local_bits[l]];
-      }
-      for (std::size_t c = 0; c < block; ++c) {
-        Complex acc{0.0, 0.0};
-        for (std::size_t l = 0; l < block; ++l) {
-          acc += scratch[l] * std::conj(m(c, l));
-        }
-        row_data[base | local_bits[c]] = acc;
-      }
-    }
-  }
+  // ρ → M ρ mixes row bits; ρ → ρ M† applies conj(M) to column bits.
+  kernels::apply_matrix(rho_, 2 * num_qubits_, m,
+                        row_bits(qubits, num_qubits_));
+  kernels::apply_matrix(rho_, 2 * num_qubits_, m.adjoint().transpose(),
+                        qubits);
 }
 
 void DensityMatrixState::apply_channel_sum(const KrausChannel& channel,

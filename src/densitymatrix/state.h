@@ -3,11 +3,13 @@
 /// cirq.DensityMatrixSimulationState, listed in the paper's conclusion as
 /// one of the representations bgls ships probability functions for.
 ///
-/// ρ is stored dense (2^n x 2^n, row-major, same bit convention as the
-/// statevector). Channels can be applied exactly (Kraus sum), which makes
-/// this backend the ground truth that the trajectory tests compare
-/// against; in sampler use, channels branch per-Kraus exactly like the
-/// pure-state backends so the hidden-variable coupling stays valid.
+/// ρ is stored dense (2^n x 2^n, row-major, the statevector's bit
+/// convention) and read as the 2n-qubit vector vec(ρ), so M ρ M† is two
+/// statevector-kernel passes: M on the row bits, conj(M) on the column
+/// bits. Channels can be applied exactly (Kraus sum), which makes this
+/// backend the ground truth that the trajectory tests compare against;
+/// in sampler use, channels branch per-Kraus exactly like the pure-state
+/// backends so the hidden-variable coupling stays valid.
 
 #pragma once
 

@@ -63,9 +63,13 @@ class CostBudgetError : public Error {
 ///  - sv/dm: BENCH_micro_states.json BM_StateVector_ApplyH/20
 ///    (≈ 0.97 ms per 2^20-amplitude sweep → ≈ 0.93 ns per amplitude;
 ///    rounded up to 1 ns to cover non-Hadamard gate classes). The
-///    density matrix does the same dense per-element work over 4^n
-///    elements, so it shares the coefficient — which is exactly what
-///    makes the DM-vs-trajectories crossover land at 2^n = reps.
+///    density matrix runs the same kernels over its 4^n elements, so
+///    it shares the coefficient — which is exactly what makes the
+///    DM-vs-trajectories crossover land at 2^n = reps. Measured, a DM
+///    gate is two kernel passes: BM_DensityMatrix_ApplyH/10 takes
+///    ≈ 2.2 ms per 4^10 elements at one thread (≈ 2.1 ns per element;
+///    CNOT ≈ 6.4 ns), on a 4-core x86-64 host. The coefficient is not
+///    refitted to that, since a refit would move routing.
 ///  - mps: SVD-dominated; ≈ 16 dense-element units per tensor element
 ///    (linalg/svd.cpp is an unblocked one-sided Jacobi — far from the
 ///    statevector kernels' streaming bandwidth).

@@ -1,5 +1,6 @@
 #include "service/daemon.h"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <sstream>
@@ -452,14 +453,20 @@ void ServiceDaemon::handle_result_or_wait(const Request& request) {
   if (request.op == "wait") {
     // Bounded waits keep stop() responsive: poll the scheduler in
     // slices instead of blocking unboundedly on the condition variable.
+    // A slice never outlasts the client's deadline (timeout_ms 0 waits
+    // without one).
     const std::uint64_t timeout_ms = request.message.u64_or("timeout_ms", 0);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
     while (!is_terminal(info.state) && !server_.stopping()) {
-      if (timeout_ms > 0 && std::chrono::steady_clock::now() >= deadline) {
-        break;
+      std::chrono::milliseconds slice = 200ms;
+      if (timeout_ms > 0) {
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        if (left <= 0ms) break;
+        slice = std::min(slice, left);
       }
-      info = scheduler_.wait(id, 200ms);
+      info = scheduler_.wait(id, slice);
     }
   }
   send_result(info, request.socket, "");

@@ -19,10 +19,6 @@
 namespace bgls::kernels {
 namespace {
 
-/// Kernels switch to OpenMP above this dimension; below it the
-/// fork/join overhead dominates.
-constexpr std::size_t kParallelThreshold = std::size_t{1} << 14;
-
 /// Specialized kernels cover gates up to this arity (the library's
 /// kMaxGateArity); wider matrices take the generic gather path.
 constexpr std::size_t kMaxKernelArity = 3;

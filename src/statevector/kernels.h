@@ -47,6 +47,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -54,6 +55,10 @@
 #include "linalg/matrix.h"
 
 namespace bgls::kernels {
+
+/// Passes over at least this many amplitudes use OpenMP; below it the
+/// fork/join overhead dominates.
+inline constexpr std::size_t kParallelThreshold = std::size_t{1} << 14;
 
 /// Structural classes, cheapest dispatch first. (`int` qubit ids match
 /// the circuit layer's Qubit alias; this module only depends on linalg.)

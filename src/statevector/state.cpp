@@ -7,13 +7,6 @@
 #include "util/error.h"
 
 namespace bgls {
-namespace {
-
-/// Kernels switch to OpenMP above this dimension; below it the fork/join
-/// overhead dominates.
-constexpr std::size_t kParallelThreshold = std::size_t{1} << 14;
-
-}  // namespace
 
 StateVectorState::StateVectorState(int num_qubits, Bitstring initial)
     : num_qubits_(num_qubits) {
@@ -97,8 +90,8 @@ void StateVectorState::renormalize() {
 std::vector<double> StateVectorState::probabilities() const {
   std::vector<double> probs(amplitudes_.size());
   const std::int64_t dim = static_cast<std::int64_t>(amplitudes_.size());
-#pragma omp parallel for if (amplitudes_.size() >= kParallelThreshold) \
-    schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (amplitudes_.size() >= kernels::kParallelThreshold)
   for (std::int64_t i = 0; i < dim; ++i) {
     probs[static_cast<std::size_t>(i)] =
         std::norm(amplitudes_[static_cast<std::size_t>(i)]);

@@ -26,22 +26,27 @@ inline std::size_t local_index(std::size_t basis,
   return local;
 }
 
-/// Embeds an operation's unitary into the full 2^n space.
-inline Matrix embed_operation(const Operation& op, int num_qubits) {
-  const Matrix m = op.gate().unitary();
+/// Embeds a gate-local matrix acting on `qubits` into the full 2^n space.
+inline Matrix embed_matrix(const Matrix& m, std::span<const Qubit> qubits,
+                           int num_qubits) {
   const std::size_t dim = std::size_t{1} << num_qubits;
   std::size_t support_mask = 0;
-  for (const Qubit q : op.qubits()) {
+  for (const Qubit q : qubits) {
     support_mask |= std::size_t{1} << static_cast<std::size_t>(q);
   }
   Matrix full(dim, dim);
   for (std::size_t r = 0; r < dim; ++r) {
     for (std::size_t c = 0; c < dim; ++c) {
       if ((r & ~support_mask) != (c & ~support_mask)) continue;
-      full(r, c) = m(local_index(r, op.qubits()), local_index(c, op.qubits()));
+      full(r, c) = m(local_index(r, qubits), local_index(c, qubits));
     }
   }
   return full;
+}
+
+/// Embeds an operation's unitary into the full 2^n space.
+inline Matrix embed_operation(const Operation& op, int num_qubits) {
+  return embed_matrix(op.gate().unitary(), op.qubits(), num_qubits);
 }
 
 /// Full-circuit unitary (skips measurements; throws on channels).

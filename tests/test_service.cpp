@@ -348,6 +348,23 @@ TEST_P(ServerProtocolTest, StopWhileClientBlockedInWaitIsClean) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
 }
 
+TEST_P(ServerProtocolTest, WaitAnswersByItsTimeout) {
+  ServiceClient client(endpoint());
+  SubmitArgs big;
+  big.qasm = kGhzQasm;
+  big.repetitions = 500'000'000ULL;
+  big.no_batch = true;
+  const std::uint64_t job = client.submit(big);
+  // The wait's slices end at the client's deadline, not at the next
+  // 200 ms poll boundary.
+  const auto start = std::chrono::steady_clock::now();
+  const JsonValue response = client.wait(job, 20);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(response.string_or("code", ""), "not_done");
+  EXPECT_LT(elapsed, 150ms);
+  EXPECT_TRUE(client.cancel(job));
+}
+
 TEST(FleetProtocol, NonStringOpAnswersBadRequest) {
   FleetServer server;
   ServiceClient client(server.endpoint());
